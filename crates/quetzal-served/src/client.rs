@@ -117,13 +117,16 @@ pub struct Client<S> {
 }
 
 impl Client<TcpStream> {
-    /// Connects over TCP.
+    /// Connects over TCP, with Nagle's algorithm off: a request frame
+    /// must leave at once, not wait for the ACK of the previous one
+    /// (see [`wire`]).
     ///
     /// # Errors
     ///
     /// Returns the connection error.
     pub fn connect(addr: &str) -> Result<Client<TcpStream>, ClientError> {
         let stream = TcpStream::connect(addr).map_err(WireError::Io)?;
+        stream.set_nodelay(true).map_err(WireError::Io)?;
         Ok(Client { stream })
     }
 }
@@ -277,6 +280,14 @@ impl<S: Read + Write> Client<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn connect_turns_nagle_off() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let client = Client::connect(&addr).expect("connect");
+        assert!(client.stream.nodelay().unwrap());
+    }
 
     #[test]
     fn backoff_schedule_is_seeded_capped_and_monotone_pre_jitter() {

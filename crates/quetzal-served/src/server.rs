@@ -382,16 +382,30 @@ impl Daemon {
 
     /// Accept loop: serves until a client's `shutdown` frame drains the
     /// daemon. Every connection gets its own thread; all are joined
-    /// before returning, so on exit no job is still running.
+    /// before returning, so on exit no job is still running. Transient
+    /// accept failures ([`accept_error_is_transient`]) are logged to
+    /// stderr and retried after [`ACCEPT_BACKOFF`]; they never end the
+    /// daemon.
     ///
     /// # Errors
     ///
-    /// Returns transport errors from the listener itself.
+    /// Returns any other transport error from the listener itself.
     pub fn run(self) -> std::io::Result<()> {
         let addr = self.listener.local_addr()?;
         let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         loop {
-            let (stream, _) = self.listener.accept()?;
+            let (stream, _) = match self.listener.accept() {
+                Ok(conn) => conn,
+                Err(e) if accept_error_is_transient(&e) => {
+                    if self.shared.exited.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    eprintln!("qzserved: accept failed ({e}); retrying");
+                    std::thread::sleep(ACCEPT_BACKOFF);
+                    continue;
+                }
+                Err(e) => return Err(e),
+            };
             if self.shared.exited.load(Ordering::SeqCst) {
                 drop(stream);
                 break;
@@ -430,10 +444,31 @@ impl Daemon {
     }
 }
 
+/// Pause before retrying a transiently failed `accept`. Without it an
+/// exhausted descriptor table would spin the accept loop: the pending
+/// connection stays queued, so the next `accept` fails at once again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Whether a failed `accept` leaves the listener usable: the peer gave
+/// up before it was accepted, a signal or a non-blocking wake-up
+/// interrupted the call, or the process or system is out of file
+/// descriptors (ENFILE 23 / EMFILE 24 — read from the raw errno, as the
+/// workspace has no `libc`). Anything else is a broken listener.
+fn accept_error_is_transient(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind;
+    matches!(
+        e.kind(),
+        ErrorKind::ConnectionAborted | ErrorKind::Interrupted | ErrorKind::WouldBlock
+    ) || (cfg!(unix) && matches!(e.raw_os_error(), Some(23 | 24)))
+}
+
 fn serve_tcp(shared: &Shared, stream: TcpStream, listen_addr: SocketAddr) {
     // The deadline only bounds reads: response streaming on the write
     // half (a long submit's frames) is never cut short by it.
     let _ = stream.set_read_timeout(shared.config.idle_timeout);
+    // A submit streams several frames back to back; with Nagle on, each
+    // one after the first waits for the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let mut reader = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -503,6 +538,28 @@ mod tests {
             panic!("expected stats, got {:?}", frames[3]);
         };
         assert_eq!(stats.get("protocol_errors").unwrap().as_u64(), Some(2));
+    }
+
+    #[test]
+    fn accept_errors_split_into_transient_and_fatal() {
+        use std::io::{Error, ErrorKind};
+        for kind in [
+            ErrorKind::ConnectionAborted,
+            ErrorKind::Interrupted,
+            ErrorKind::WouldBlock,
+        ] {
+            assert!(accept_error_is_transient(&Error::from(kind)), "{kind:?}");
+        }
+        if cfg!(unix) {
+            // ENFILE, EMFILE: descriptors run out, then free up again.
+            assert!(accept_error_is_transient(&Error::from_raw_os_error(23)));
+            assert!(accept_error_is_transient(&Error::from_raw_os_error(24)));
+        }
+        for kind in [ErrorKind::InvalidInput, ErrorKind::PermissionDenied] {
+            assert!(!accept_error_is_transient(&Error::from(kind)), "{kind:?}");
+        }
+        // EBADF: the listener itself is gone.
+        assert!(!accept_error_is_transient(&Error::from_raw_os_error(9)));
     }
 
     #[test]

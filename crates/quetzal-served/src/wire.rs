@@ -6,6 +6,15 @@
 //! buffer unboundedly — oversized prefixes are a typed error, and the
 //! connection is closed without reading the claimed payload.
 //!
+//! A frame leaves in **one** write: prefix and payload are assembled
+//! into a single buffer before it is handed to the stream. Split into
+//! two small writes, the second segment of every frame would sit in
+//! the sender's Nagle buffer until the peer's delayed ACK for the
+//! first arrived — about 40 ms on Linux per frame boundary. Both ends
+//! also set `TCP_NODELAY` on their sockets, so a frame that follows
+//! another (a `submit`'s `accepted` / `item` / `done` stream) is not
+//! held back either.
+//!
 //! Framing errors are split by what they poison:
 //!
 //! * [`WireError::Truncated`] / [`WireError::Oversized`] /
@@ -159,7 +168,8 @@ pub fn read_value(r: &mut impl Read) -> Result<Option<Value>, WireError> {
     Ok(Some(value))
 }
 
-/// Writes one frame.
+/// Writes one frame: prefix and payload in a single `write_all`, then
+/// one `flush` (see the module docs for why never two writes).
 ///
 /// # Errors
 ///
@@ -171,8 +181,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
             claimed: payload.len(),
         });
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -233,6 +245,41 @@ mod tests {
         let err = read_value(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, WireError::BadPayload(_)));
         assert!(!err.is_fatal(), "payload errors keep the connection");
+    }
+
+    /// A sink that counts the calls made on it.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        flushes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_and_one_flush() {
+        // Regression: prefix and payload as two writes stalled every
+        // frame boundary on the peer's delayed ACK (Nagle).
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, br#"{"type":"pong"}"#).unwrap();
+        assert_eq!((w.writes, w.flushes), (1, 1));
+        write_value(&mut w, &Value::Array(vec![])).unwrap();
+        assert_eq!((w.writes, w.flushes), (2, 2));
+        let mut r = w.bytes.as_slice();
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), br#"{"type":"pong"}"#);
+        assert_eq!(read_value(&mut r).unwrap(), Some(Value::Array(vec![])));
     }
 
     #[test]

@@ -849,11 +849,7 @@ mod tests {
             0,
             "panicked machine must not return to the free pool"
         );
-        assert_eq!(
-            lock(pool.quarantine_list()).len(),
-            1,
-            "the panicked machine"
-        );
+        assert_eq!(pool.stats().quarantined, 1, "the panicked machine");
         let mut pooled = pool.checkout();
         assert_eq!(
             pooled.machine().alloc(8),

@@ -22,9 +22,11 @@
 //!   [`PooledMachine::replace_with_fresh`] and the item retried **once**
 //!   on a brand-new (never pooled) machine — the
 //!   [`retry_item`] boundary used by every fault-tolerant entry point;
-//! * quarantined machines are never handed out again, only counted
-//!   ([`MachinePool::stats`]) — a service surfaces the tally instead of
-//!   trying to prove a poisoned machine clean.
+//! * quarantined machines are never handed out again: the pool drops
+//!   them on the spot and only counts them ([`MachinePool::stats`]) —
+//!   a service surfaces the tally instead of trying to prove a poisoned
+//!   machine clean, and a long-lived pool's memory does not grow with
+//!   the failures it has seen.
 //!
 //! # Budget ownership
 //!
@@ -59,7 +61,7 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Locks a pool list, ignoring lock poisoning: the lists are only ever
+/// Locks the free list, ignoring lock poisoning: the list is only ever
 /// pushed to / popped from, and a panic cannot unwind mid-`Vec`
 /// operation in a way that leaves the list structurally broken.
 pub(crate) fn lock(list: &Mutex<Vec<Machine>>) -> std::sync::MutexGuard<'_, Vec<Machine>> {
@@ -224,10 +226,10 @@ pub struct PoolStats {
 ///
 /// Machines are recycled through `free` (reset-on-checkout), except
 /// machines that were live during a panic or a failed item: those are
-/// moved to `quarantine` and never handed out again — a machine that
-/// unwound mid-run may violate the invariants [`Machine::reset`]
-/// assumes, and a machine involved in a fault is cheaper to replace
-/// than to prove clean.
+/// quarantined — dropped and counted in `quarantined`, never handed out
+/// again. A machine that unwound mid-run may violate the invariants
+/// [`Machine::reset`] assumes, and a machine involved in a fault is
+/// cheaper to replace than to prove clean.
 ///
 /// The machine-pooled [`BatchRunner`](crate::BatchRunner) entry points
 /// build a pool per call; callers that run many batches over the same
@@ -253,7 +255,9 @@ pub struct MachinePool {
     budgets: Mutex<Budgets>,
     built: AtomicU64,
     free: Mutex<Vec<Machine>>,
-    quarantine: Mutex<Vec<Machine>>,
+    /// Machines quarantined so far. The machines themselves are
+    /// dropped: nothing reads them, and each holds megabytes.
+    quarantined: AtomicU64,
 }
 
 impl MachinePool {
@@ -270,7 +274,7 @@ impl MachinePool {
             budgets: Mutex::new(Budgets::default()),
             built: AtomicU64::new(0),
             free: Mutex::new(Vec::new()),
-            quarantine: Mutex::new(Vec::new()),
+            quarantined: AtomicU64::new(0),
         }
     }
 
@@ -305,19 +309,14 @@ impl MachinePool {
         PoolStats {
             built: self.built.load(Ordering::Relaxed),
             free: lock(&self.free).len(),
-            quarantined: lock(&self.quarantine).len(),
+            quarantined: self.quarantined.load(Ordering::Relaxed) as usize,
         }
     }
 
-    /// Drops every quarantined machine, returning how many were
-    /// reclaimed. A long-lived service calls this to cap memory; the
-    /// quarantine tally in [`stats`](Self::stats) then restarts from
-    /// zero, so services should accumulate the count before purging.
-    pub fn purge_quarantine(&self) -> usize {
-        let mut q = lock(&self.quarantine);
-        let n = q.len();
-        q.clear();
-        n
+    /// Quarantines a machine: counts it and drops it.
+    fn quarantine(&self, machine: Machine) {
+        self.quarantined.fetch_add(1, Ordering::Relaxed);
+        drop(machine);
     }
 
     /// A brand-new machine (never pooled) sharing the run's predecode
@@ -355,11 +354,6 @@ impl MachinePool {
     pub(crate) fn free_list(&self) -> &Mutex<Vec<Machine>> {
         &self.free
     }
-
-    #[cfg(test)]
-    pub(crate) fn quarantine_list(&self) -> &Mutex<Vec<Machine>> {
-        &self.quarantine
-    }
 }
 
 impl std::fmt::Debug for MachinePool {
@@ -376,8 +370,8 @@ impl std::fmt::Debug for MachinePool {
 
 /// A machine checked out of a [`MachinePool`]. On drop it returns to
 /// the free list — unless the thread is unwinding, in which case it is
-/// quarantined (a panic mid-[`Machine::run`] leaves state `reset` is
-/// not pinned against).
+/// quarantined, i.e. counted and dropped (a panic mid-[`Machine::run`]
+/// leaves state `reset` is not pinned against).
 pub struct PooledMachine<'a> {
     machine: Option<Machine>,
     pool: &'a MachinePool,
@@ -394,7 +388,7 @@ impl PooledMachine<'_> {
     /// during a failure.
     pub fn replace_with_fresh(&mut self) {
         if let Some(old) = self.machine.take() {
-            lock(&self.pool.quarantine).push(old);
+            self.pool.quarantine(old);
         }
         self.machine = Some(self.pool.fresh());
     }
@@ -406,7 +400,7 @@ impl Drop for PooledMachine<'_> {
             return;
         };
         if std::thread::panicking() {
-            lock(&self.pool.quarantine).push(machine);
+            self.pool.quarantine(machine);
         } else {
             lock(&self.pool.free).push(machine);
         }
@@ -600,11 +594,12 @@ mod tests {
         }
         let stats = pool.stats();
         assert_eq!(stats.free, 2, "both guards returned their machines");
-        assert_eq!(pool.purge_quarantine(), 1);
-        assert_eq!(pool.stats().quarantined, 0);
-        // A checkout after the purge recycles, so nothing new is built.
-        let _ = pool.checkout();
+        assert_eq!(stats.quarantined, 1, "the tally outlives the guard");
+        // Two checkouts take the two free machines; the quarantined
+        // one is gone, so nothing new is built.
+        drop((pool.checkout(), pool.checkout()));
         assert_eq!(pool.stats().built, 3);
+        assert_eq!(pool.stats().free, 2);
     }
 
     #[test]

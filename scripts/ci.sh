@@ -29,6 +29,12 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> benchmark self-tests (perfbench, its own package)"
+# perfbench builds against the workspace crates by path but is not a
+# workspace member: this step keeps an API change in those crates from
+# silently breaking the benchmark.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> fault-injection sweep (release + debug assertions, fixed seed)"
 # Release speed with overflow/invariant checks live: any panic escaping
 # the machine boundary — not a typed SimError — fails this step. Since

@@ -13,7 +13,9 @@
 //!   with a typed `draining` frame, and exits with quarantined machines
 //!   accounted in the final stats;
 //! * provably-fatal fault programs are rejected at admission without a
-//!   single machine checkout from the tenant pool.
+//!   single machine checkout from the tenant pool;
+//! * a small request is answered at compute speed, not after a
+//!   Nagle / delayed-ACK stall at each frame boundary.
 
 use quetzal::{BatchRunner, MachineConfig, MachinePool};
 use quetzal_bench::workloads::{Workload, SEED};
@@ -25,6 +27,7 @@ use quetzal_served::{
 };
 use std::io::Write;
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Starts a daemon on an ephemeral loopback port; returns its address
 /// and the accept-loop handle (joins cleanly after a `shutdown` frame).
@@ -132,6 +135,37 @@ fn loopback_daemon_is_byte_identical_to_offline_batchrunner() {
         shutdown(&addr);
         handle.join().expect("accept loop").expect("clean exit");
     }
+}
+
+#[test]
+fn small_submits_do_not_stall_on_frame_boundaries() {
+    // A 1-pair job with `chunk: 1` streams three frames (`accepted`,
+    // `item`, `done`) and computes in well under a millisecond of
+    // simulation. When a frame went out as two writes on sockets with
+    // Nagle on, each submit waited for the peer's delayed ACK (about
+    // 40 ms on Linux) twice: >= 80 ms, far above the bound below.
+    let (addr, handle) = start_daemon(DaemonConfig {
+        chunk: 1,
+        ..DaemonConfig::default()
+    });
+    let spec = align_spec(1);
+    let mut client = Client::connect(&addr).expect("connect");
+    let mut submit = || {
+        let start = Instant::now();
+        let outcome = client.submit("latency", &spec).expect("submit");
+        assert!(matches!(outcome, SubmitOutcome::Report(_)), "{outcome:?}");
+        start.elapsed()
+    };
+    submit(); // warm-up: builds the tenant's pool machine
+    let mut times: Vec<Duration> = (0..9).map(|_| submit()).collect();
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median submit took {median:?} (all: {times:?})"
+    );
+    shutdown(&addr);
+    handle.join().expect("accept loop").expect("clean exit");
 }
 
 #[test]
