@@ -9,6 +9,7 @@
 //! reproducible. Real data can be substituted through [`crate::fasta`].
 
 use crate::alphabet::Alphabet;
+use crate::rng::fnv64;
 use crate::sequence::Seq;
 
 // Re-exported for compatibility: the PRNG grew into its own module when
@@ -191,7 +192,7 @@ impl DatasetSpec {
     /// `qzingest stage` writes genome-scale pair files from this
     /// without materialising them.
     pub fn pair_stream(&self, seed: u64) -> impl Iterator<Item = SeqPair> + '_ {
-        let mut rng = SplitMix64::new(seed ^ fnv1a(self.name.as_bytes()));
+        let mut rng = SplitMix64::new(seed ^ fnv64(self.name.as_bytes()));
         std::iter::from_fn(move || {
             let pattern = random_seq(&mut rng, self.read_len, self.alphabet);
             let text = mutate(&mut rng, &pattern, self.edit_rate, self.profile);
@@ -237,15 +238,6 @@ pub fn mutate(rng: &mut SplitMix64, pattern: &Seq, edit_rate: f64, profile: Erro
         }
     }
     Seq::new(out, pattern.alphabet()).expect("mutated symbols are always valid")
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

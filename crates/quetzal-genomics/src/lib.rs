@@ -17,8 +17,8 @@
 //!   paper's Table II datasets (100 bp, 250 bp, 10 Kbp, 30 Kbp) and a
 //!   BAliBASE-like protein set.
 //! * [`rng`] — seeded, bit-stable in-tree PRNGs (SplitMix64,
-//!   xoshiro256**) so nothing in the workspace needs an external
-//!   randomness crate.
+//!   xoshiro256**) and the workspace's FNV-1a hash, so nothing in the
+//!   workspace needs an external randomness or hashing crate.
 //! * [`fasta`] — minimal FASTA and pair-file I/O so real data can be used
 //!   in place of the generators.
 //!

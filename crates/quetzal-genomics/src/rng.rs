@@ -15,6 +15,10 @@
 //!
 //! Both are bit-stable across platforms, which is what makes every
 //! generated dataset and every experiment table reproducible.
+//!
+//! [`Fnv64`] sits beside them: the workspace's one FNV-1a hash, which
+//! derives per-dataset seeds from names and checksums ingest
+//! checkpoints.
 
 /// Implements the distribution helpers shared by both generators in
 /// terms of an inherent `next_u64`.
@@ -93,6 +97,50 @@ impl SplitMix64 {
 }
 
 impl_rng_helpers!(SplitMix64);
+
+/// FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a prime.
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// Incremental FNV-1a hasher — the workspace's zero-dependency content
+/// checksum (collision resistance is not a goal; torn-write and
+/// bit-flip *detection* is).
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Fnv64 {
+        Fnv64(FNV_OFFSET)
+    }
+}
+
+impl Fnv64 {
+    /// Fresh hasher at the FNV-1a offset basis.
+    pub fn new() -> Fnv64 {
+        Fnv64::default()
+    }
+
+    /// Absorbs bytes.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// The digest so far.
+    pub fn digest(&self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a of one byte slice.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.update(bytes);
+    h.digest()
+}
 
 /// Blackman & Vigna's xoshiro256**: four `u64` of state, period
 /// 2^256 − 1, with a `jump` function for 2^128 non-overlapping
@@ -226,5 +274,17 @@ mod tests {
     #[should_panic(expected = "bound must be positive")]
     fn below_zero_bound_panics() {
         SplitMix64::new(0).below(0);
+    }
+
+    #[test]
+    fn fnv64_reference_vectors() {
+        // Published FNV-1a 64-bit test vectors (Fowler/Noll/Vo).
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+        let mut h = Fnv64::new();
+        h.update(b"foo");
+        h.update(b"bar");
+        assert_eq!(h.digest(), fnv64(b"foobar"), "incremental == one-shot");
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! The cycle-level engine interprets one instruction at a time and
 //! streams it through the out-of-order timing model. This module is the
-//! *second*, independent engine: it lifts each basic block of the
-//! recovered CFG ([`quetzal_isa::cfg`]) into **flat step tables** —
-//! contiguous arrays of `(pc, Instruction)` records dispatched by a
-//! direct match, with no per-step heap allocation — and chains blocks
+//! *second driver* of the same instruction semantics: it lifts each
+//! basic block of the recovered CFG ([`quetzal_isa::cfg`]) into **flat
+//! step tables** — contiguous arrays of `(pc, Instruction)` records,
+//! each executed by the interpreter's `step` with the no-op effects
+//! sink `()`, and no per-step heap allocation — and chains blocks
 //! connected by unconditional control flow into **superblocks**
 //! dispatched with a single lookup. Compiled programs are cached by id
 //! *and by instruction-stream content* alongside the predecode tables
@@ -20,27 +21,25 @@
 //! budget expires exactly at an out-of-program target), and surfaces
 //! the identical typed [`SimError`] taxonomy — everything except the
 //! clock, which it does not model ([`SimError::CycleLimit`] cannot
-//! occur here). `tests/functional_equiv.rs` and the fault-injection
-//! sweep pin this equivalence differentially against the cycle-level
-//! core.
+//! occur here).
 //!
-//! Lane loops reuse the interpreter's shared ALU routines
-//! ([`vector_alu`], [`scalar_alu`]), so per-lane arithmetic cannot
-//! drift between the engines; what the differential oracle therefore
-//! independently exercises is decode, dispatch, control flow, predication,
-//! budget accounting and the memory/QBUFFER access paths.
+//! Because both engines run one `step`, the differential suites
+//! (`tests/functional_equiv.rs`, the fault-injection sweep, the module
+//! tests below) pin what this tier owns on its own: step lowering,
+//! superblock chaining, dispatch, budget accounting and fault ordering.
+//! Independent checks of the semantics themselves come from host-side
+//! oracles: the interpreter's scalar and vector oracle tests, the
+//! exhaustive algorithmic oracle in `tests/properties.rs`, and the
+//! pinned timing and `run_all` outputs.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::interp::{active_lane_pairs, scalar_alu, vector_alu, SimError};
+use crate::interp::{step, SimError};
 use crate::predecode::Predecode;
-use crate::state::{truncate, ArchState};
-use quetzal_accel::count_alu::qzcount_vector;
+use crate::state::ArchState;
 use quetzal_isa::cfg::Cfg;
-use quetzal_isa::{
-    BranchCond, ElemSize, InstClass, Instruction, Program, RedOp, XReg, LANES_64, VLEN_BYTES,
-};
+use quetzal_isa::{BranchCond, InstClass, Instruction, Program, XReg};
 
 /// Which execution engine [`Core::run`](crate::Core::run) drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -261,8 +260,8 @@ pub(crate) fn run_compiled(
         let sb = &cp.blocks[block];
         block = if remaining >= sb.insts {
             remaining -= sb.insts;
-            for step in &sb.steps {
-                exec_step(step.pc as usize, step.inst, state)?;
+            for s in &sb.steps {
+                step(s.pc as usize, s.inst, state, &mut ())?;
             }
             match sb.term {
                 Terminator::Halt => return Ok(budget - remaining),
@@ -285,12 +284,12 @@ pub(crate) fn run_compiled(
         } else {
             // The budget expires somewhere in this chain: mirror the
             // interpreter's check-fetch-execute order per instruction.
-            for step in &sb.steps {
+            for s in &sb.steps {
                 if remaining == 0 {
                     return Err(SimError::InstLimit { budget });
                 }
                 remaining -= 1;
-                exec_step(step.pc as usize, step.inst, state)?;
+                step(s.pc as usize, s.inst, state, &mut ())?;
             }
             match sb.term {
                 Terminator::Goto(t) => dispatch(t, remaining, budget)?,
@@ -321,498 +320,6 @@ pub(crate) fn run_compiled(
                 }
             }
         };
-    }
-}
-
-/// Executes one compiled step against `state`. Semantics mirror the
-/// interpreter's match in [`crate::interp`] arm for arm (shared ALU
-/// helpers included); the sink-only fields (`d.mem`, `d.taken`,
-/// `d.qz_latency`) have no functional analogue and are simply absent.
-/// `pc` is the step's program counter, used only for fault attribution.
-#[allow(clippy::too_many_lines)]
-#[inline]
-fn exec_step(pc: usize, inst: Instruction, s: &mut ArchState) -> Result<(), SimError> {
-    match inst {
-        Instruction::MovImm { rd, imm } => {
-            s.set_x(rd, imm as u64);
-            Ok(())
-        }
-        Instruction::AluRR { op, rd, rn, rm } => {
-            let v = scalar_alu(op, s.x(rn), s.x(rm));
-            s.set_x(rd, v);
-            Ok(())
-        }
-        Instruction::AluRI { op, rd, rn, imm } => {
-            let v = scalar_alu(op, s.x(rn), imm as u64);
-            s.set_x(rd, v);
-            Ok(())
-        }
-        Instruction::Load {
-            rd,
-            rn,
-            offset,
-            size,
-        } => {
-            let addr = s.x(rn).wrapping_add_signed(offset);
-            let v = s.mem.read_le(addr, size.bytes());
-            s.set_x(rd, v);
-            Ok(())
-        }
-        Instruction::Store {
-            rs,
-            rn,
-            offset,
-            size,
-        } => {
-            let addr = s.x(rn).wrapping_add_signed(offset);
-            if s.mem.try_write_le(addr, s.x(rs), size.bytes()).is_err() {
-                return Err(SimError::MemoryFault { addr, pc });
-            }
-            Ok(())
-        }
-        Instruction::Jump { .. } => {
-            // Counted no-op: the superblock chain or `Goto` terminator
-            // already encodes the transfer.
-            Ok(())
-        }
-        Instruction::Halt | Instruction::Branch { .. } => {
-            // Structurally unreachable: `compile` turns these into
-            // superblock terminators. Surface a typed fault (never a
-            // panic) if a compiler bug ever emits one as a step.
-            debug_assert!(false, "terminator compiled as a step at pc {pc}");
-            Err(SimError::DecodeError { pc })
-        }
-
-        Instruction::Dup { vd, rn, esize } => {
-            let lanes = esize.lanes();
-            let v = s.x(rn);
-            for i in 0..lanes {
-                s.set_v_elem(vd, i, esize, v);
-            }
-            Ok(())
-        }
-        Instruction::DupImm { vd, imm, esize } => {
-            let lanes = esize.lanes();
-            for i in 0..lanes {
-                s.set_v_elem(vd, i, esize, imm as u64);
-            }
-            Ok(())
-        }
-        Instruction::Index {
-            vd,
-            rn,
-            step: stride,
-            esize,
-        } => {
-            let lanes = esize.lanes();
-            let start = s.x(rn) as i64;
-            for i in 0..lanes {
-                let v = start.wrapping_add(stride.wrapping_mul(i as i64));
-                s.set_v_elem(vd, i, esize, truncate(v, esize));
-            }
-            Ok(())
-        }
-        Instruction::VAluVV {
-            op,
-            vd,
-            vn,
-            vm,
-            pg,
-            esize,
-        } => {
-            let lanes = esize.lanes();
-            for i in 0..lanes {
-                if s.lane_active(pg, i, esize) {
-                    let a = s.v_elem_i64(vn, i, esize);
-                    let b = s.v_elem_i64(vm, i, esize);
-                    s.set_v_elem(vd, i, esize, vector_alu(op, a, b, esize));
-                }
-            }
-            Ok(())
-        }
-        Instruction::VAluVI {
-            op,
-            vd,
-            vn,
-            imm,
-            pg,
-            esize,
-        } => {
-            let lanes = esize.lanes();
-            for i in 0..lanes {
-                if s.lane_active(pg, i, esize) {
-                    let a = s.v_elem_i64(vn, i, esize);
-                    s.set_v_elem(vd, i, esize, vector_alu(op, a, imm, esize));
-                }
-            }
-            Ok(())
-        }
-        Instruction::VCmpVV {
-            cond,
-            pd,
-            vn,
-            vm,
-            pg,
-            esize,
-        } => {
-            let lanes = esize.lanes();
-            let mut p = 0u64;
-            for i in 0..lanes {
-                if s.lane_active(pg, i, esize) {
-                    let a = s.v_elem_i64(vn, i, esize);
-                    let b = s.v_elem_i64(vm, i, esize);
-                    if cond.eval(a, b) {
-                        p |= 1 << (i * esize.bytes());
-                    }
-                }
-            }
-            s.set_p(pd, p);
-            Ok(())
-        }
-        Instruction::VCmpVI {
-            cond,
-            pd,
-            vn,
-            imm,
-            pg,
-            esize,
-        } => {
-            let lanes = esize.lanes();
-            let mut p = 0u64;
-            for i in 0..lanes {
-                if s.lane_active(pg, i, esize) {
-                    let a = s.v_elem_i64(vn, i, esize);
-                    if cond.eval(a, imm) {
-                        p |= 1 << (i * esize.bytes());
-                    }
-                }
-            }
-            s.set_p(pd, p);
-            Ok(())
-        }
-        Instruction::VSel {
-            vd,
-            pg,
-            vn,
-            vm,
-            esize,
-        } => {
-            let lanes = esize.lanes();
-            for i in 0..lanes {
-                let v = if s.lane_active(pg, i, esize) {
-                    s.v_elem(vn, i, esize)
-                } else {
-                    s.v_elem(vm, i, esize)
-                };
-                s.set_v_elem(vd, i, esize, v);
-            }
-            Ok(())
-        }
-        Instruction::VLoad { vd, rn, pg, esize } => {
-            let lanes = esize.lanes();
-            let base = s.x(rn);
-            for i in 0..lanes {
-                let v = if s.lane_active(pg, i, esize) {
-                    let addr = base.wrapping_add((i * esize.bytes()) as u64);
-                    s.mem.read_le(addr, esize.bytes())
-                } else {
-                    0
-                };
-                s.set_v_elem(vd, i, esize, v);
-            }
-            Ok(())
-        }
-        Instruction::VLoadN {
-            vd,
-            rn,
-            pg,
-            esize,
-            msize,
-        } => {
-            let lanes = esize.lanes();
-            let base = s.x(rn);
-            for i in 0..lanes {
-                let v = if s.lane_active(pg, i, esize) {
-                    let addr = base.wrapping_add((i * msize.bytes()) as u64);
-                    s.mem.read_le(addr, msize.bytes())
-                } else {
-                    0
-                };
-                s.set_v_elem(vd, i, esize, v);
-            }
-            Ok(())
-        }
-        Instruction::VStore { vs, rn, pg, esize } => {
-            let lanes = esize.lanes();
-            let base = s.x(rn);
-            for i in 0..lanes {
-                if s.lane_active(pg, i, esize) {
-                    let v = s.v_elem(vs, i, esize);
-                    let addr = base.wrapping_add((i * esize.bytes()) as u64);
-                    if s.mem.try_write_le(addr, v, esize.bytes()).is_err() {
-                        return Err(SimError::MemoryFault { addr, pc });
-                    }
-                }
-            }
-            Ok(())
-        }
-        Instruction::VGather {
-            vd,
-            rn,
-            idx,
-            pg,
-            esize,
-            msize,
-            scale,
-        } => {
-            let lanes = esize.lanes();
-            let base = s.x(rn);
-            for i in 0..lanes {
-                if s.lane_active(pg, i, esize) {
-                    let off = s.v_elem_i64(idx, i, esize);
-                    let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
-                    let v = s.mem.read_le(addr, msize.bytes());
-                    s.set_v_elem(vd, i, esize, v);
-                } else {
-                    s.set_v_elem(vd, i, esize, 0);
-                }
-            }
-            Ok(())
-        }
-        Instruction::VScatter {
-            vs,
-            rn,
-            idx,
-            pg,
-            esize,
-            msize,
-            scale,
-        } => {
-            let lanes = esize.lanes();
-            let base = s.x(rn);
-            for i in 0..lanes {
-                if s.lane_active(pg, i, esize) {
-                    let off = s.v_elem_i64(idx, i, esize);
-                    let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
-                    if s.mem
-                        .try_write_le(addr, s.v_elem(vs, i, esize), msize.bytes())
-                        .is_err()
-                    {
-                        return Err(SimError::MemoryFault { addr, pc });
-                    }
-                }
-            }
-            Ok(())
-        }
-        Instruction::VReduce {
-            op,
-            rd,
-            vn,
-            pg,
-            esize,
-        } => {
-            let lanes = esize.lanes();
-            let empty = match op {
-                RedOp::Add => 0,
-                RedOp::Min => i64::MAX,
-                RedOp::Max => i64::MIN,
-            };
-            let mut acc: Option<i64> = None;
-            for i in 0..lanes {
-                if s.lane_active(pg, i, esize) {
-                    let v = s.v_elem_i64(vn, i, esize);
-                    acc = Some(match (acc, op) {
-                        (None, _) => v,
-                        (Some(a), RedOp::Add) => a.wrapping_add(v),
-                        (Some(a), RedOp::Min) => a.min(v),
-                        (Some(a), RedOp::Max) => a.max(v),
-                    });
-                }
-            }
-            s.set_x(rd, acc.unwrap_or(empty) as u64);
-            Ok(())
-        }
-        Instruction::VExtract {
-            rd,
-            vn,
-            lane,
-            esize,
-        } => {
-            if lane as usize >= esize.lanes() {
-                // The fault is decidable from instruction fields alone.
-                return Err(SimError::InvalidRegister { index: lane, pc });
-            }
-            let v = s.v_elem(vn, lane as usize, esize);
-            s.set_x(rd, v);
-            Ok(())
-        }
-        Instruction::VInsert {
-            vd,
-            rn,
-            lane,
-            esize,
-        } => {
-            if lane as usize >= esize.lanes() {
-                return Err(SimError::InvalidRegister { index: lane, pc });
-            }
-            let v = s.x(rn);
-            s.set_v_elem(vd, lane as usize, esize, v);
-            Ok(())
-        }
-        Instruction::VSlideDown {
-            vd,
-            vn,
-            amount,
-            esize,
-        } => {
-            let lanes = esize.lanes();
-            let mut buf = [0u64; VLEN_BYTES];
-            let tmp = &mut buf[..lanes];
-            for (i, item) in tmp.iter_mut().enumerate() {
-                let src = i + amount as usize;
-                *item = if src < lanes {
-                    s.v_elem(vn, src, esize)
-                } else {
-                    0
-                };
-            }
-            for (i, &v) in tmp.iter().enumerate() {
-                s.set_v_elem(vd, i, esize, v);
-            }
-            Ok(())
-        }
-        Instruction::VSlide1Up { vd, vn, rn, esize } => {
-            let lanes = esize.lanes();
-            let mut buf = [0u64; VLEN_BYTES];
-            let tmp = &mut buf[..lanes];
-            tmp[0] = s.x(rn);
-            for (i, item) in tmp.iter_mut().enumerate().skip(1) {
-                *item = s.v_elem(vn, i - 1, esize);
-            }
-            for (i, &v) in tmp.iter().enumerate() {
-                s.set_v_elem(vd, i, esize, v);
-            }
-            Ok(())
-        }
-
-        Instruction::PTrue { pd, esize } => {
-            let word = ArchState::pred_first_n(esize.lanes(), esize);
-            s.set_p(pd, word);
-            Ok(())
-        }
-        Instruction::PWhileLt { pd, rn, esize } => {
-            let lanes = esize.lanes();
-            let n = s.x(rn) as i64;
-            let n = n.clamp(0, lanes as i64) as usize;
-            s.set_p(pd, ArchState::pred_first_n(n, esize));
-            Ok(())
-        }
-        Instruction::PFalse { pd } => {
-            s.set_p(pd, 0);
-            Ok(())
-        }
-        Instruction::PAnd { pd, pn, pm } => {
-            s.set_p(pd, s.p(pn) & s.p(pm));
-            Ok(())
-        }
-        Instruction::POr { pd, pn, pm } => {
-            s.set_p(pd, s.p(pn) | s.p(pm));
-            Ok(())
-        }
-        Instruction::PBic { pd, pn, pm } => {
-            s.set_p(pd, s.p(pn) & !s.p(pm));
-            Ok(())
-        }
-        Instruction::PCount { rd, pn, esize } => {
-            let c = s.pred_count(pn, esize);
-            s.set_x(rd, c);
-            Ok(())
-        }
-
-        Instruction::QzConf { eb0, eb1, esiz } => {
-            let esiz_v = s.x(esiz);
-            if !s.qz.conf(s.x(eb0), s.x(eb1), esiz_v) {
-                return Err(SimError::InvalidQzConf { esiz: esiz_v, pc });
-            }
-            Ok(())
-        }
-        Instruction::QzEncode { sel, val, idx } => {
-            let chars = *s.v(val);
-            let at = s.x(idx);
-            match s.qz.encode(sel.index(), &chars, at) {
-                Ok(_) => Ok(()),
-                Err(_) => Err(SimError::QBufferIndexOutOfRange { idx: at, pc }),
-            }
-        }
-        Instruction::QzStore { val, idx, sel, pg } => {
-            let mut buf = [(0u64, 0u64); LANES_64];
-            let lanes = active_lane_pairs(s, pg, idx, val, &mut buf);
-            s.qz.store(sel.index(), lanes);
-            Ok(())
-        }
-        Instruction::QzUpdate {
-            op,
-            val,
-            idx,
-            sel,
-            pg,
-        } => {
-            let mut buf = [(0u64, 0u64); LANES_64];
-            let lanes = active_lane_pairs(s, pg, idx, val, &mut buf);
-            s.qz.update(sel.index(), op, lanes);
-            Ok(())
-        }
-        Instruction::QzLoad { vd, idx, sel, pg } => {
-            let mask = s.mask64(pg);
-            let idxs = s.v_lanes64(idx);
-            let (vals, _) = s.qz.load(sel.index(), &idxs, &mask);
-            for (i, &v) in vals.iter().enumerate() {
-                s.set_v_elem(vd, i, ElemSize::B64, v);
-            }
-            Ok(())
-        }
-        Instruction::QzMhm {
-            op,
-            vd,
-            idx0,
-            idx1,
-            pg,
-        } => {
-            let mask = s.mask64(pg);
-            let i0 = s.v_lanes64(idx0);
-            let i1 = s.v_lanes64(idx1);
-            let (vals, _) = s.qz.mhm(op, &i0, &i1, &mask);
-            for (i, &v) in vals.iter().enumerate() {
-                s.set_v_elem(vd, i, ElemSize::B64, v);
-            }
-            Ok(())
-        }
-        Instruction::QzMm {
-            op,
-            vd,
-            val,
-            idx,
-            sel,
-            pg,
-        } => {
-            let mask = s.mask64(pg);
-            let vv = s.v_lanes64(val);
-            let ii = s.v_lanes64(idx);
-            let (vals, _) = s.qz.mm(op, sel.index(), &vv, &ii, &mask);
-            for (i, &v) in vals.iter().enumerate() {
-                s.set_v_elem(vd, i, ElemSize::B64, v);
-            }
-            Ok(())
-        }
-        Instruction::QzCount { vd, vn, vm } => {
-            let a = s.v_lanes64(vn);
-            let b = s.v_lanes64(vm);
-            let counts = qzcount_vector(&a, &b, s.qz.esize);
-            for (i, &c) in counts.iter().enumerate() {
-                s.set_v_elem(vd, i, ElemSize::B64, c);
-            }
-            Ok(())
-        }
     }
 }
 

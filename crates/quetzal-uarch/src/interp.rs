@@ -1,12 +1,17 @@
-//! Functional interpreter and the [`Core`] facade.
+//! Instruction semantics, the interpreter loop, and the [`Core`] facade.
 //!
-//! The interpreter executes programs against [`ArchState`] with exact
-//! ISA semantics (it *is* the functional model — vector instructions
-//! really compute) and streams one [`DynInst`] per executed instruction
-//! into an [`ExecSink`]. Paired with [`OooTiming`] this yields an
-//! execution-driven, cycle-level simulation; paired with [`NullSink`]
-//! it is a fast functional emulator
-//! used by correctness tests.
+//! `step` is the ISA's semantics, written once: it executes one
+//! instruction against [`ArchState`] exactly (vector instructions
+//! really compute) and reports the facts only the timing model needs —
+//! memory accesses, branch outcomes, QUETZAL latencies — to an
+//! `Effects` sink. Two drivers run it. The interpreter loop here
+//! fetches, steps and streams one [`DynInst`] per executed instruction
+//! into an [`ExecSink`]: paired with [`OooTiming`] this yields an
+//! execution-driven, cycle-level simulation; paired with
+//! [`NullSink`](crate::ooo::NullSink) it is a plain emulator used by
+//! correctness tests. The compiled functional tier
+//! ([`crate::functional`]) runs the same `step` over superblocks with
+//! the no-op sink `()`.
 
 use crate::config::CoreConfig;
 use crate::functional::{CompiledCache, ExecMode};
@@ -120,13 +125,13 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-pub(crate) fn scalar_alu(op: SAluOp, a: u64, b: u64) -> u64 {
+fn scalar_alu(op: SAluOp, a: u64, b: u64) -> u64 {
     // Single shared semantics: `quetzal-verify`'s constant propagation
     // folds through the same routine the interpreter executes.
     op.eval(a, b)
 }
 
-pub(crate) fn vector_alu(op: VAluOp, a: i64, b: i64, esize: ElemSize) -> u64 {
+fn vector_alu(op: VAluOp, a: i64, b: i64, esize: ElemSize) -> u64 {
     let r = match op {
         VAluOp::Add => a.wrapping_add(b),
         VAluOp::Sub => a.wrapping_sub(b),
@@ -153,7 +158,7 @@ fn mask_of(esize: ElemSize) -> u64 {
 /// Packs the active `(index, value)` lane pairs of a predicated QBUFFER
 /// write into caller-provided stack scratch, returning the live prefix
 /// (replaces a per-instruction `Vec` allocation on the hot path).
-pub(crate) fn active_lane_pairs<'a>(
+fn active_lane_pairs<'a>(
     state: &ArchState,
     pg: PReg,
     idx: VReg,
@@ -174,8 +179,8 @@ pub(crate) fn active_lane_pairs<'a>(
 }
 
 /// Executes `program` on `state`, streaming retired instructions into
-/// `sink`. Predecodes the program locally (no cache) and delegates to
-/// [`execute_predecoded`]. Returns the number of executed instructions.
+/// `sink`. Predecodes the program locally (no cache). Returns the number
+/// of executed instructions.
 ///
 /// # Errors
 ///
@@ -188,15 +193,18 @@ pub fn execute(
     budget: u64,
 ) -> Result<u64, SimError> {
     let pre = Predecode::of(program);
-    execute_predecoded(state, program, &pre, sink, budget)
+    let mut d = DynInst::default();
+    execute_impl(state, program, sink, budget, &mut d, |pc, _inst| {
+        *pre.op(pc)
+    })
 }
 
 /// Reference (seed-path) executor: decodes each instruction's
 /// [`MicroOp`] afresh at retire time instead of reading the predecoded
-/// table. Timing-equivalent to [`execute_predecoded`] by construction —
-/// kept so the golden timing-neutrality test can assert the equivalence
-/// on real workloads, and as the oracle for decode-cache bugs (a stale
-/// or misindexed table diverges from this path immediately).
+/// table. Timing-equivalent to [`execute`] by construction — kept so the
+/// golden timing-neutrality test can assert the equivalence on real
+/// workloads, and as the oracle for decode-cache bugs (a stale or
+/// misindexed table diverges from this path immediately).
 ///
 /// # Errors
 ///
@@ -214,37 +222,12 @@ pub fn execute_reference(
     })
 }
 
-/// Executes `program` with a prebuilt [`Predecode`] table (the hot
-/// path: the table is computed once per program and cached by
-/// [`Core`]).
-///
-/// # Panics
-///
-/// Panics if `pre` was built from a different (shorter) program.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the instruction budget is exhausted or an
-/// invalid `qzconf` is executed.
-pub fn execute_predecoded(
-    state: &mut ArchState,
-    program: &Program,
-    pre: &Predecode,
-    sink: &mut impl ExecSink,
-    budget: u64,
-) -> Result<u64, SimError> {
-    assert_eq!(pre.len(), program.len(), "predecode table mismatch");
-    let mut d = DynInst::default();
-    execute_impl(state, program, sink, budget, &mut d, |pc, _inst| {
-        *pre.op(pc)
-    })
-}
-
-/// The interpreter loop, generic over where each instruction's
-/// [`MicroOp`] record comes from (predecoded table or per-retire
-/// decode). `d` is caller-provided scratch: its `mem` buffer is reused
-/// across every dynamic instruction (and, via [`Core`], across runs),
-/// so the loop allocates nothing per instruction.
+/// The interpreter loop — fetch, [`step`], retire, watchdog — generic
+/// over where each instruction's [`MicroOp`] record comes from
+/// (predecoded table or per-retire decode). `d` is caller-provided
+/// scratch: its `mem` buffer is reused across every dynamic instruction
+/// (and, via [`Core`], across runs), so the loop allocates nothing per
+/// instruction.
 fn execute_impl(
     state: &mut ArchState,
     program: &Program,
@@ -267,455 +250,12 @@ fn execute_impl(
         };
         executed += 1;
         d.reset(pc);
-        let mut next_pc = pc + 1;
-
-        match inst {
-            Instruction::MovImm { rd, imm } => state.set_x(rd, imm as u64),
-            Instruction::AluRR { op, rd, rn, rm } => {
-                let v = scalar_alu(op, state.x(rn), state.x(rm));
-                state.set_x(rd, v);
-            }
-            Instruction::AluRI { op, rd, rn, imm } => {
-                let v = scalar_alu(op, state.x(rn), imm as u64);
-                state.set_x(rd, v);
-            }
-            Instruction::Load {
-                rd,
-                rn,
-                offset,
-                size,
-            } => {
-                let addr = state.x(rn).wrapping_add_signed(offset);
-                let v = state.mem.read_le(addr, size.bytes());
-                state.set_x(rd, v);
-                d.mem.push((addr, size.bytes() as u32));
-            }
-            Instruction::Store {
-                rs,
-                rn,
-                offset,
-                size,
-            } => {
-                let addr = state.x(rn).wrapping_add_signed(offset);
-                if state
-                    .mem
-                    .try_write_le(addr, state.x(rs), size.bytes())
-                    .is_err()
-                {
-                    return Err(SimError::MemoryFault { addr, pc });
-                }
-                d.mem.push((addr, size.bytes() as u32));
-            }
-            Instruction::Branch {
-                cond,
-                rn,
-                rm,
-                target,
-            } => {
-                let taken = cond.eval(state.x(rn) as i64, state.x(rm) as i64);
-                d.taken = taken;
-                if taken {
-                    next_pc = target;
-                }
-            }
-            Instruction::Jump { target } => {
-                d.taken = true;
-                next_pc = target;
-            }
-            Instruction::Halt => {
-                sink.retire(&uop_of(pc, &inst), d);
-                return Ok(executed);
-            }
-
-            Instruction::Dup { vd, rn, esize } => {
-                let v = state.x(rn);
-                for i in 0..esize.lanes() {
-                    state.set_v_elem(vd, i, esize, v);
-                }
-            }
-            Instruction::DupImm { vd, imm, esize } => {
-                for i in 0..esize.lanes() {
-                    state.set_v_elem(vd, i, esize, imm as u64);
-                }
-            }
-            Instruction::Index {
-                vd,
-                rn,
-                step,
-                esize,
-            } => {
-                let start = state.x(rn) as i64;
-                for i in 0..esize.lanes() {
-                    let v = start.wrapping_add(step.wrapping_mul(i as i64));
-                    state.set_v_elem(vd, i, esize, truncate(v, esize));
-                }
-            }
-            Instruction::VAluVV {
-                op,
-                vd,
-                vn,
-                vm,
-                pg,
-                esize,
-            } => {
-                for i in 0..esize.lanes() {
-                    if state.lane_active(pg, i, esize) {
-                        let a = state.v_elem_i64(vn, i, esize);
-                        let b = state.v_elem_i64(vm, i, esize);
-                        state.set_v_elem(vd, i, esize, vector_alu(op, a, b, esize));
-                    }
-                }
-            }
-            Instruction::VAluVI {
-                op,
-                vd,
-                vn,
-                imm,
-                pg,
-                esize,
-            } => {
-                for i in 0..esize.lanes() {
-                    if state.lane_active(pg, i, esize) {
-                        let a = state.v_elem_i64(vn, i, esize);
-                        state.set_v_elem(vd, i, esize, vector_alu(op, a, imm, esize));
-                    }
-                }
-            }
-            Instruction::VCmpVV {
-                cond,
-                pd,
-                vn,
-                vm,
-                pg,
-                esize,
-            } => {
-                let mut p = 0u64;
-                for i in 0..esize.lanes() {
-                    if state.lane_active(pg, i, esize) {
-                        let a = state.v_elem_i64(vn, i, esize);
-                        let b = state.v_elem_i64(vm, i, esize);
-                        if cond.eval(a, b) {
-                            p |= 1 << (i * esize.bytes());
-                        }
-                    }
-                }
-                state.set_p(pd, p);
-            }
-            Instruction::VCmpVI {
-                cond,
-                pd,
-                vn,
-                imm,
-                pg,
-                esize,
-            } => {
-                let mut p = 0u64;
-                for i in 0..esize.lanes() {
-                    if state.lane_active(pg, i, esize) {
-                        let a = state.v_elem_i64(vn, i, esize);
-                        if cond.eval(a, imm) {
-                            p |= 1 << (i * esize.bytes());
-                        }
-                    }
-                }
-                state.set_p(pd, p);
-            }
-            Instruction::VSel {
-                vd,
-                pg,
-                vn,
-                vm,
-                esize,
-            } => {
-                for i in 0..esize.lanes() {
-                    let v = if state.lane_active(pg, i, esize) {
-                        state.v_elem(vn, i, esize)
-                    } else {
-                        state.v_elem(vm, i, esize)
-                    };
-                    state.set_v_elem(vd, i, esize, v);
-                }
-            }
-            Instruction::VLoad { vd, rn, pg, esize } => {
-                let base = state.x(rn);
-                for i in 0..esize.lanes() {
-                    let v = if state.lane_active(pg, i, esize) {
-                        let addr = base.wrapping_add((i * esize.bytes()) as u64);
-                        state.mem.read_le(addr, esize.bytes())
-                    } else {
-                        0
-                    };
-                    state.set_v_elem(vd, i, esize, v);
-                }
-                d.mem.push((base, VLEN_BYTES as u32));
-            }
-            Instruction::VLoadN {
-                vd,
-                rn,
-                pg,
-                esize,
-                msize,
-            } => {
-                let base = state.x(rn);
-                for i in 0..esize.lanes() {
-                    let v = if state.lane_active(pg, i, esize) {
-                        let addr = base.wrapping_add((i * msize.bytes()) as u64);
-                        state.mem.read_le(addr, msize.bytes())
-                    } else {
-                        0
-                    };
-                    state.set_v_elem(vd, i, esize, v);
-                }
-                d.mem.push((base, (esize.lanes() * msize.bytes()) as u32));
-            }
-            Instruction::VStore { vs, rn, pg, esize } => {
-                let base = state.x(rn);
-                for i in 0..esize.lanes() {
-                    if state.lane_active(pg, i, esize) {
-                        let v = state.v_elem(vs, i, esize);
-                        let addr = base.wrapping_add((i * esize.bytes()) as u64);
-                        if state.mem.try_write_le(addr, v, esize.bytes()).is_err() {
-                            return Err(SimError::MemoryFault { addr, pc });
-                        }
-                    }
-                }
-                d.mem.push((base, VLEN_BYTES as u32));
-            }
-            Instruction::VGather {
-                vd,
-                rn,
-                idx,
-                pg,
-                esize,
-                msize,
-                scale,
-            } => {
-                let base = state.x(rn);
-                for i in 0..esize.lanes() {
-                    if state.lane_active(pg, i, esize) {
-                        let off = state.v_elem_i64(idx, i, esize);
-                        let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
-                        let v = state.mem.read_le(addr, msize.bytes());
-                        state.set_v_elem(vd, i, esize, v);
-                        d.mem.push((addr, msize.bytes() as u32));
-                    } else {
-                        state.set_v_elem(vd, i, esize, 0);
-                    }
-                }
-            }
-            Instruction::VScatter {
-                vs,
-                rn,
-                idx,
-                pg,
-                esize,
-                msize,
-                scale,
-            } => {
-                let base = state.x(rn);
-                for i in 0..esize.lanes() {
-                    if state.lane_active(pg, i, esize) {
-                        let off = state.v_elem_i64(idx, i, esize);
-                        let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
-                        if state
-                            .mem
-                            .try_write_le(addr, state.v_elem(vs, i, esize), msize.bytes())
-                            .is_err()
-                        {
-                            return Err(SimError::MemoryFault { addr, pc });
-                        }
-                        d.mem.push((addr, msize.bytes() as u32));
-                    }
-                }
-            }
-            Instruction::VReduce {
-                op,
-                rd,
-                vn,
-                pg,
-                esize,
-            } => {
-                let mut acc: Option<i64> = None;
-                for i in 0..esize.lanes() {
-                    if state.lane_active(pg, i, esize) {
-                        let v = state.v_elem_i64(vn, i, esize);
-                        acc = Some(match (acc, op) {
-                            (None, _) => v,
-                            (Some(a), RedOp::Add) => a.wrapping_add(v),
-                            (Some(a), RedOp::Min) => a.min(v),
-                            (Some(a), RedOp::Max) => a.max(v),
-                        });
-                    }
-                }
-                let empty = match op {
-                    RedOp::Add => 0,
-                    RedOp::Min => i64::MAX,
-                    RedOp::Max => i64::MIN,
-                };
-                state.set_x(rd, acc.unwrap_or(empty) as u64);
-            }
-            Instruction::VExtract {
-                rd,
-                vn,
-                lane,
-                esize,
-            } => {
-                if lane as usize >= esize.lanes() {
-                    return Err(SimError::InvalidRegister { index: lane, pc });
-                }
-                let v = state.v_elem(vn, lane as usize, esize);
-                state.set_x(rd, v);
-            }
-            Instruction::VInsert {
-                vd,
-                rn,
-                lane,
-                esize,
-            } => {
-                if lane as usize >= esize.lanes() {
-                    return Err(SimError::InvalidRegister { index: lane, pc });
-                }
-                let v = state.x(rn);
-                state.set_v_elem(vd, lane as usize, esize, v);
-            }
-            Instruction::VSlideDown {
-                vd,
-                vn,
-                amount,
-                esize,
-            } => {
-                // Stack scratch: at most VLEN_BYTES lanes (B8 elements),
-                // so a fixed array replaces the per-instruction Vec.
-                let lanes = esize.lanes();
-                let mut buf = [0u64; VLEN_BYTES];
-                let tmp = &mut buf[..lanes];
-                for (i, item) in tmp.iter_mut().enumerate() {
-                    let src = i + amount as usize;
-                    *item = if src < lanes {
-                        state.v_elem(vn, src, esize)
-                    } else {
-                        0
-                    };
-                }
-                for (i, &v) in tmp.iter().enumerate() {
-                    state.set_v_elem(vd, i, esize, v);
-                }
-            }
-            Instruction::VSlide1Up { vd, vn, rn, esize } => {
-                let lanes = esize.lanes();
-                let mut buf = [0u64; VLEN_BYTES];
-                let tmp = &mut buf[..lanes];
-                tmp[0] = state.x(rn);
-                for (i, item) in tmp.iter_mut().enumerate().skip(1) {
-                    *item = state.v_elem(vn, i - 1, esize);
-                }
-                for (i, &v) in tmp.iter().enumerate() {
-                    state.set_v_elem(vd, i, esize, v);
-                }
-            }
-
-            Instruction::PTrue { pd, esize } => {
-                state.set_p(pd, ArchState::pred_first_n(esize.lanes(), esize));
-            }
-            Instruction::PWhileLt { pd, rn, esize } => {
-                let n = state.x(rn) as i64;
-                let n = n.clamp(0, esize.lanes() as i64) as usize;
-                state.set_p(pd, ArchState::pred_first_n(n, esize));
-            }
-            Instruction::PFalse { pd } => state.set_p(pd, 0),
-            Instruction::PAnd { pd, pn, pm } => state.set_p(pd, state.p(pn) & state.p(pm)),
-            Instruction::POr { pd, pn, pm } => state.set_p(pd, state.p(pn) | state.p(pm)),
-            Instruction::PBic { pd, pn, pm } => state.set_p(pd, state.p(pn) & !state.p(pm)),
-            Instruction::PCount { rd, pn, esize } => {
-                let c = state.pred_count(pn, esize);
-                state.set_x(rd, c);
-            }
-
-            Instruction::QzConf { eb0, eb1, esiz } => {
-                let esiz_v = state.x(esiz);
-                if !state.qz.conf(state.x(eb0), state.x(eb1), esiz_v) {
-                    return Err(SimError::InvalidQzConf { esiz: esiz_v, pc });
-                }
-                d.qz_latency = 1;
-            }
-            Instruction::QzEncode { sel, val, idx } => {
-                let chars = *state.v(val);
-                let at = state.x(idx);
-                match state.qz.encode(sel.index(), &chars, at) {
-                    Ok(lat) => d.qz_latency = lat,
-                    Err(_) => return Err(SimError::QBufferIndexOutOfRange { idx: at, pc }),
-                }
-            }
-            Instruction::QzStore { val, idx, sel, pg } => {
-                let mut buf = [(0u64, 0u64); LANES_64];
-                let lanes = active_lane_pairs(state, pg, idx, val, &mut buf);
-                d.qz_latency = state.qz.store(sel.index(), lanes);
-            }
-            Instruction::QzUpdate {
-                op,
-                val,
-                idx,
-                sel,
-                pg,
-            } => {
-                let mut buf = [(0u64, 0u64); LANES_64];
-                let lanes = active_lane_pairs(state, pg, idx, val, &mut buf);
-                d.qz_latency = state.qz.update(sel.index(), op, lanes);
-            }
-            Instruction::QzLoad { vd, idx, sel, pg } => {
-                let mask = state.mask64(pg);
-                let idxs = state.v_lanes64(idx);
-                let (vals, lat) = state.qz.load(sel.index(), &idxs, &mask);
-                for (i, &v) in vals.iter().enumerate() {
-                    state.set_v_elem(vd, i, ElemSize::B64, v);
-                }
-                d.qz_latency = lat;
-            }
-            Instruction::QzMhm {
-                op,
-                vd,
-                idx0,
-                idx1,
-                pg,
-            } => {
-                let mask = state.mask64(pg);
-                let i0 = state.v_lanes64(idx0);
-                let i1 = state.v_lanes64(idx1);
-                let (vals, lat) = state.qz.mhm(op, &i0, &i1, &mask);
-                for (i, &v) in vals.iter().enumerate() {
-                    state.set_v_elem(vd, i, ElemSize::B64, v);
-                }
-                d.qz_latency = lat;
-            }
-            Instruction::QzMm {
-                op,
-                vd,
-                val,
-                idx,
-                sel,
-                pg,
-            } => {
-                let mask = state.mask64(pg);
-                let vv = state.v_lanes64(val);
-                let ii = state.v_lanes64(idx);
-                let (vals, lat) = state.qz.mm(op, sel.index(), &vv, &ii, &mask);
-                for (i, &v) in vals.iter().enumerate() {
-                    state.set_v_elem(vd, i, ElemSize::B64, v);
-                }
-                d.qz_latency = lat;
-            }
-            Instruction::QzCount { vd, vn, vm } => {
-                let a = state.v_lanes64(vn);
-                let b = state.v_lanes64(vm);
-                let counts = qzcount_vector(&a, &b, state.qz.esize);
-                for (i, &c) in counts.iter().enumerate() {
-                    state.set_v_elem(vd, i, ElemSize::B64, c);
-                }
-                d.qz_latency = COUNT_ALU_LATENCY;
-            }
-        }
-
+        // A faulting instruction is never retired; `halt` is.
+        let next_pc = step(pc, inst, state, d)?;
         sink.retire(&uop_of(pc, &inst), d);
+        let Some(next_pc) = next_pc else {
+            return Ok(executed);
+        };
         // Timing-side watchdog: the sink reports when its clock passed
         // the configured cycle budget (see [`SimError::CycleLimit`]).
         // Checked after retire so the clock reflects this instruction.
@@ -724,6 +264,505 @@ fn execute_impl(
         }
         pc = next_pc;
     }
+}
+
+/// The dynamic facts of one executed instruction that only the timing
+/// model consumes. [`DynInst`] records them for the cycle-level engine;
+/// `()` drops them for the functional tier, where every call compiles
+/// out (the same zero-cost pattern as [`NullProbe`]).
+pub(crate) trait Effects {
+    /// A demand memory access of `bytes` bytes at `addr`.
+    fn mem(&mut self, addr: u64, bytes: u32);
+    /// The outcome of a branch or jump.
+    fn taken(&mut self, taken: bool);
+    /// The functionally determined latency of a QUETZAL operation.
+    fn qz_latency(&mut self, cycles: u64);
+}
+
+// `#[inline]` so that `Core::run`, monomorphised in downstream crates,
+// can inline these into its hot loop.
+impl Effects for DynInst {
+    #[inline]
+    fn mem(&mut self, addr: u64, bytes: u32) {
+        self.mem.push((addr, bytes));
+    }
+    #[inline]
+    fn taken(&mut self, taken: bool) {
+        self.taken = taken;
+    }
+    #[inline]
+    fn qz_latency(&mut self, cycles: u64) {
+        self.qz_latency = cycles;
+    }
+}
+
+impl Effects for () {
+    #[inline]
+    fn mem(&mut self, _addr: u64, _bytes: u32) {}
+    #[inline]
+    fn taken(&mut self, _taken: bool) {}
+    #[inline]
+    fn qz_latency(&mut self, _cycles: u64) {}
+}
+
+/// Executes one instruction at `pc` against `state` — the ISA's
+/// semantics, written once and driven by both engines: the cycle-level
+/// interpreter loop above and the functional tier's superblock
+/// dispatcher ([`crate::functional`]). Returns the next pc, or `None`
+/// at `halt`; timing-only facts go to `fx`. `pc` also attributes
+/// faults. Always inlined, so each driver's hot loop gets its own copy
+/// of the match, specialised to its sink.
+#[inline(always)]
+pub(crate) fn step(
+    pc: usize,
+    inst: Instruction,
+    state: &mut ArchState,
+    fx: &mut impl Effects,
+) -> Result<Option<usize>, SimError> {
+    let mut next_pc = pc + 1;
+    match inst {
+        Instruction::MovImm { rd, imm } => state.set_x(rd, imm as u64),
+        Instruction::AluRR { op, rd, rn, rm } => {
+            let v = scalar_alu(op, state.x(rn), state.x(rm));
+            state.set_x(rd, v);
+        }
+        Instruction::AluRI { op, rd, rn, imm } => {
+            let v = scalar_alu(op, state.x(rn), imm as u64);
+            state.set_x(rd, v);
+        }
+        Instruction::Load {
+            rd,
+            rn,
+            offset,
+            size,
+        } => {
+            let addr = state.x(rn).wrapping_add_signed(offset);
+            let v = state.mem.read_le(addr, size.bytes());
+            state.set_x(rd, v);
+            fx.mem(addr, size.bytes() as u32);
+        }
+        Instruction::Store {
+            rs,
+            rn,
+            offset,
+            size,
+        } => {
+            let addr = state.x(rn).wrapping_add_signed(offset);
+            if state
+                .mem
+                .try_write_le(addr, state.x(rs), size.bytes())
+                .is_err()
+            {
+                return Err(SimError::MemoryFault { addr, pc });
+            }
+            fx.mem(addr, size.bytes() as u32);
+        }
+        Instruction::Branch {
+            cond,
+            rn,
+            rm,
+            target,
+        } => {
+            let taken = cond.eval(state.x(rn) as i64, state.x(rm) as i64);
+            fx.taken(taken);
+            if taken {
+                next_pc = target;
+            }
+        }
+        Instruction::Jump { target } => {
+            fx.taken(true);
+            next_pc = target;
+        }
+        Instruction::Halt => return Ok(None),
+
+        Instruction::Dup { vd, rn, esize } => {
+            let v = state.x(rn);
+            for i in 0..esize.lanes() {
+                state.set_v_elem(vd, i, esize, v);
+            }
+        }
+        Instruction::DupImm { vd, imm, esize } => {
+            for i in 0..esize.lanes() {
+                state.set_v_elem(vd, i, esize, imm as u64);
+            }
+        }
+        Instruction::Index {
+            vd,
+            rn,
+            step,
+            esize,
+        } => {
+            let start = state.x(rn) as i64;
+            for i in 0..esize.lanes() {
+                let v = start.wrapping_add(step.wrapping_mul(i as i64));
+                state.set_v_elem(vd, i, esize, truncate(v, esize));
+            }
+        }
+        Instruction::VAluVV {
+            op,
+            vd,
+            vn,
+            vm,
+            pg,
+            esize,
+        } => {
+            for i in 0..esize.lanes() {
+                if state.lane_active(pg, i, esize) {
+                    let a = state.v_elem_i64(vn, i, esize);
+                    let b = state.v_elem_i64(vm, i, esize);
+                    state.set_v_elem(vd, i, esize, vector_alu(op, a, b, esize));
+                }
+            }
+        }
+        Instruction::VAluVI {
+            op,
+            vd,
+            vn,
+            imm,
+            pg,
+            esize,
+        } => {
+            for i in 0..esize.lanes() {
+                if state.lane_active(pg, i, esize) {
+                    let a = state.v_elem_i64(vn, i, esize);
+                    state.set_v_elem(vd, i, esize, vector_alu(op, a, imm, esize));
+                }
+            }
+        }
+        Instruction::VCmpVV {
+            cond,
+            pd,
+            vn,
+            vm,
+            pg,
+            esize,
+        } => {
+            let mut p = 0u64;
+            for i in 0..esize.lanes() {
+                if state.lane_active(pg, i, esize) {
+                    let a = state.v_elem_i64(vn, i, esize);
+                    let b = state.v_elem_i64(vm, i, esize);
+                    if cond.eval(a, b) {
+                        p |= 1 << (i * esize.bytes());
+                    }
+                }
+            }
+            state.set_p(pd, p);
+        }
+        Instruction::VCmpVI {
+            cond,
+            pd,
+            vn,
+            imm,
+            pg,
+            esize,
+        } => {
+            let mut p = 0u64;
+            for i in 0..esize.lanes() {
+                if state.lane_active(pg, i, esize) {
+                    let a = state.v_elem_i64(vn, i, esize);
+                    if cond.eval(a, imm) {
+                        p |= 1 << (i * esize.bytes());
+                    }
+                }
+            }
+            state.set_p(pd, p);
+        }
+        Instruction::VSel {
+            vd,
+            pg,
+            vn,
+            vm,
+            esize,
+        } => {
+            for i in 0..esize.lanes() {
+                let v = if state.lane_active(pg, i, esize) {
+                    state.v_elem(vn, i, esize)
+                } else {
+                    state.v_elem(vm, i, esize)
+                };
+                state.set_v_elem(vd, i, esize, v);
+            }
+        }
+        Instruction::VLoad { vd, rn, pg, esize } => {
+            let base = state.x(rn);
+            for i in 0..esize.lanes() {
+                let v = if state.lane_active(pg, i, esize) {
+                    let addr = base.wrapping_add((i * esize.bytes()) as u64);
+                    state.mem.read_le(addr, esize.bytes())
+                } else {
+                    0
+                };
+                state.set_v_elem(vd, i, esize, v);
+            }
+            fx.mem(base, VLEN_BYTES as u32);
+        }
+        Instruction::VLoadN {
+            vd,
+            rn,
+            pg,
+            esize,
+            msize,
+        } => {
+            let base = state.x(rn);
+            for i in 0..esize.lanes() {
+                let v = if state.lane_active(pg, i, esize) {
+                    let addr = base.wrapping_add((i * msize.bytes()) as u64);
+                    state.mem.read_le(addr, msize.bytes())
+                } else {
+                    0
+                };
+                state.set_v_elem(vd, i, esize, v);
+            }
+            fx.mem(base, (esize.lanes() * msize.bytes()) as u32);
+        }
+        Instruction::VStore { vs, rn, pg, esize } => {
+            let base = state.x(rn);
+            for i in 0..esize.lanes() {
+                if state.lane_active(pg, i, esize) {
+                    let v = state.v_elem(vs, i, esize);
+                    let addr = base.wrapping_add((i * esize.bytes()) as u64);
+                    if state.mem.try_write_le(addr, v, esize.bytes()).is_err() {
+                        return Err(SimError::MemoryFault { addr, pc });
+                    }
+                }
+            }
+            fx.mem(base, VLEN_BYTES as u32);
+        }
+        Instruction::VGather {
+            vd,
+            rn,
+            idx,
+            pg,
+            esize,
+            msize,
+            scale,
+        } => {
+            let base = state.x(rn);
+            for i in 0..esize.lanes() {
+                if state.lane_active(pg, i, esize) {
+                    let off = state.v_elem_i64(idx, i, esize);
+                    let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
+                    let v = state.mem.read_le(addr, msize.bytes());
+                    state.set_v_elem(vd, i, esize, v);
+                    fx.mem(addr, msize.bytes() as u32);
+                } else {
+                    state.set_v_elem(vd, i, esize, 0);
+                }
+            }
+        }
+        Instruction::VScatter {
+            vs,
+            rn,
+            idx,
+            pg,
+            esize,
+            msize,
+            scale,
+        } => {
+            let base = state.x(rn);
+            for i in 0..esize.lanes() {
+                if state.lane_active(pg, i, esize) {
+                    let off = state.v_elem_i64(idx, i, esize);
+                    let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
+                    if state
+                        .mem
+                        .try_write_le(addr, state.v_elem(vs, i, esize), msize.bytes())
+                        .is_err()
+                    {
+                        return Err(SimError::MemoryFault { addr, pc });
+                    }
+                    fx.mem(addr, msize.bytes() as u32);
+                }
+            }
+        }
+        Instruction::VReduce {
+            op,
+            rd,
+            vn,
+            pg,
+            esize,
+        } => {
+            let mut acc: Option<i64> = None;
+            for i in 0..esize.lanes() {
+                if state.lane_active(pg, i, esize) {
+                    let v = state.v_elem_i64(vn, i, esize);
+                    acc = Some(match (acc, op) {
+                        (None, _) => v,
+                        (Some(a), RedOp::Add) => a.wrapping_add(v),
+                        (Some(a), RedOp::Min) => a.min(v),
+                        (Some(a), RedOp::Max) => a.max(v),
+                    });
+                }
+            }
+            let empty = match op {
+                RedOp::Add => 0,
+                RedOp::Min => i64::MAX,
+                RedOp::Max => i64::MIN,
+            };
+            state.set_x(rd, acc.unwrap_or(empty) as u64);
+        }
+        Instruction::VExtract {
+            rd,
+            vn,
+            lane,
+            esize,
+        } => {
+            if lane as usize >= esize.lanes() {
+                return Err(SimError::InvalidRegister { index: lane, pc });
+            }
+            let v = state.v_elem(vn, lane as usize, esize);
+            state.set_x(rd, v);
+        }
+        Instruction::VInsert {
+            vd,
+            rn,
+            lane,
+            esize,
+        } => {
+            if lane as usize >= esize.lanes() {
+                return Err(SimError::InvalidRegister { index: lane, pc });
+            }
+            let v = state.x(rn);
+            state.set_v_elem(vd, lane as usize, esize, v);
+        }
+        Instruction::VSlideDown {
+            vd,
+            vn,
+            amount,
+            esize,
+        } => {
+            // Stack scratch: at most VLEN_BYTES lanes (B8 elements),
+            // so a fixed array replaces the per-instruction Vec.
+            let lanes = esize.lanes();
+            let mut buf = [0u64; VLEN_BYTES];
+            let tmp = &mut buf[..lanes];
+            for (i, item) in tmp.iter_mut().enumerate() {
+                let src = i + amount as usize;
+                *item = if src < lanes {
+                    state.v_elem(vn, src, esize)
+                } else {
+                    0
+                };
+            }
+            for (i, &v) in tmp.iter().enumerate() {
+                state.set_v_elem(vd, i, esize, v);
+            }
+        }
+        Instruction::VSlide1Up { vd, vn, rn, esize } => {
+            let lanes = esize.lanes();
+            let mut buf = [0u64; VLEN_BYTES];
+            let tmp = &mut buf[..lanes];
+            tmp[0] = state.x(rn);
+            for (i, item) in tmp.iter_mut().enumerate().skip(1) {
+                *item = state.v_elem(vn, i - 1, esize);
+            }
+            for (i, &v) in tmp.iter().enumerate() {
+                state.set_v_elem(vd, i, esize, v);
+            }
+        }
+
+        Instruction::PTrue { pd, esize } => {
+            state.set_p(pd, ArchState::pred_first_n(esize.lanes(), esize));
+        }
+        Instruction::PWhileLt { pd, rn, esize } => {
+            let n = state.x(rn) as i64;
+            let n = n.clamp(0, esize.lanes() as i64) as usize;
+            state.set_p(pd, ArchState::pred_first_n(n, esize));
+        }
+        Instruction::PFalse { pd } => state.set_p(pd, 0),
+        Instruction::PAnd { pd, pn, pm } => state.set_p(pd, state.p(pn) & state.p(pm)),
+        Instruction::POr { pd, pn, pm } => state.set_p(pd, state.p(pn) | state.p(pm)),
+        Instruction::PBic { pd, pn, pm } => state.set_p(pd, state.p(pn) & !state.p(pm)),
+        Instruction::PCount { rd, pn, esize } => {
+            let c = state.pred_count(pn, esize);
+            state.set_x(rd, c);
+        }
+
+        Instruction::QzConf { eb0, eb1, esiz } => {
+            let esiz_v = state.x(esiz);
+            if !state.qz.conf(state.x(eb0), state.x(eb1), esiz_v) {
+                return Err(SimError::InvalidQzConf { esiz: esiz_v, pc });
+            }
+            fx.qz_latency(1);
+        }
+        Instruction::QzEncode { sel, val, idx } => {
+            let chars = *state.v(val);
+            let at = state.x(idx);
+            match state.qz.encode(sel.index(), &chars, at) {
+                Ok(lat) => fx.qz_latency(lat),
+                Err(_) => return Err(SimError::QBufferIndexOutOfRange { idx: at, pc }),
+            }
+        }
+        Instruction::QzStore { val, idx, sel, pg } => {
+            let mut buf = [(0u64, 0u64); LANES_64];
+            let lanes = active_lane_pairs(state, pg, idx, val, &mut buf);
+            fx.qz_latency(state.qz.store(sel.index(), lanes));
+        }
+        Instruction::QzUpdate {
+            op,
+            val,
+            idx,
+            sel,
+            pg,
+        } => {
+            let mut buf = [(0u64, 0u64); LANES_64];
+            let lanes = active_lane_pairs(state, pg, idx, val, &mut buf);
+            fx.qz_latency(state.qz.update(sel.index(), op, lanes));
+        }
+        Instruction::QzLoad { vd, idx, sel, pg } => {
+            let mask = state.mask64(pg);
+            let idxs = state.v_lanes64(idx);
+            let (vals, lat) = state.qz.load(sel.index(), &idxs, &mask);
+            for (i, &v) in vals.iter().enumerate() {
+                state.set_v_elem(vd, i, ElemSize::B64, v);
+            }
+            fx.qz_latency(lat);
+        }
+        Instruction::QzMhm {
+            op,
+            vd,
+            idx0,
+            idx1,
+            pg,
+        } => {
+            let mask = state.mask64(pg);
+            let i0 = state.v_lanes64(idx0);
+            let i1 = state.v_lanes64(idx1);
+            let (vals, lat) = state.qz.mhm(op, &i0, &i1, &mask);
+            for (i, &v) in vals.iter().enumerate() {
+                state.set_v_elem(vd, i, ElemSize::B64, v);
+            }
+            fx.qz_latency(lat);
+        }
+        Instruction::QzMm {
+            op,
+            vd,
+            val,
+            idx,
+            sel,
+            pg,
+        } => {
+            let mask = state.mask64(pg);
+            let vv = state.v_lanes64(val);
+            let ii = state.v_lanes64(idx);
+            let (vals, lat) = state.qz.mm(op, sel.index(), &vv, &ii, &mask);
+            for (i, &v) in vals.iter().enumerate() {
+                state.set_v_elem(vd, i, ElemSize::B64, v);
+            }
+            fx.qz_latency(lat);
+        }
+        Instruction::QzCount { vd, vn, vm } => {
+            let a = state.v_lanes64(vn);
+            let b = state.v_lanes64(vm);
+            let counts = qzcount_vector(&a, &b, state.qz.esize);
+            for (i, &c) in counts.iter().enumerate() {
+                state.set_v_elem(vd, i, ElemSize::B64, c);
+            }
+            fx.qz_latency(COUNT_ALU_LATENCY);
+        }
+    }
+    Ok(Some(next_pc))
 }
 
 /// One simulated core: architectural state plus the out-of-order timing
@@ -1393,14 +1432,18 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    //! Differential testing: random straight-line scalar programs are
-    //! executed by the simulator and by a direct Rust evaluator; the
-    //! final register files must agree exactly. Case generation is
-    //! seeded (in-tree PRNG), so failures reproduce exactly.
+    //! Differential testing: random straight-line programs mixing scalar
+    //! and predicated vector ops are executed by the simulator and by a
+    //! direct Rust evaluator written lane by lane from the ISA
+    //! definition (it shares no helper with [`step`]); the final
+    //! register files must agree exactly. Case generation is seeded
+    //! (in-tree PRNG), so failures reproduce exactly.
 
     use super::*;
+    use crate::state::VValue;
     use quetzal_genomics::rng::SplitMix64;
-    use quetzal_isa::{ProgramBuilder, SAluOp, XReg};
+    use quetzal_isa::{BranchCond, ProgramBuilder, SAluOp, XReg};
+    use std::collections::BTreeSet;
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -1409,6 +1452,15 @@ mod proptests {
         AluRI(SAluOp, u8, u8, i64),
         Store(u8, u64),
         Load(u8, u64),
+        /// Stages a whole vector register, one 64-bit lane at a time.
+        VSet(u8, [u64; LANES_64]),
+        /// Stages a predicate register bit for bit (one bit per byte).
+        PSet(u8, u64),
+        VAluVV(VAluOp, ElemSize, u8, u8, u8, u8),
+        VAluVI(VAluOp, ElemSize, u8, u8, i64, u8),
+        VCmpVV(BranchCond, ElemSize, u8, u8, u8, u8),
+        VSel(ElemSize, u8, u8, u8, u8),
+        VReduce(RedOp, ElemSize, u8, u8, u8),
     }
 
     const ALU_OPS: [SAluOp; 13] = [
@@ -1427,8 +1479,58 @@ mod proptests {
         SAluOp::SetEq,
     ];
 
+    const VALU_OPS: [VAluOp; 10] = [
+        VAluOp::Add,
+        VAluOp::Sub,
+        VAluOp::Mul,
+        VAluOp::And,
+        VAluOp::Or,
+        VAluOp::Xor,
+        VAluOp::Smin,
+        VAluOp::Smax,
+        VAluOp::Shl,
+        VAluOp::Shr,
+    ];
+
+    const ESIZES: [ElemSize; 4] = [ElemSize::B8, ElemSize::B16, ElemSize::B32, ElemSize::B64];
+
+    const CONDS: [BranchCond; 6] = [
+        BranchCond::Eq,
+        BranchCond::Ne,
+        BranchCond::Lt,
+        BranchCond::Le,
+        BranchCond::Gt,
+        BranchCond::Ge,
+    ];
+
+    const RED_OPS: [RedOp; 3] = [RedOp::Add, RedOp::Min, RedOp::Max];
+
+    /// Lane words that hit element-width edges at every size: sign
+    /// bits, all-ones, maximum positives and 63-bit shift amounts.
+    const EDGE_WORDS: [u64; 8] = [
+        0,
+        1,
+        u64::MAX,
+        0x8000_0000_0000_0000,
+        0x7FFF_FFFF_FFFF_FFFF,
+        0x8080_8080_8080_8080,
+        0x7F7F_8000_7FFF_0001,
+        0x3F3F_3F3F_3F3F_3F3F,
+    ];
+
+    /// How many vector and predicate registers the random ops use (and
+    /// the oracle compares). `V_SCRATCH`, `P_ALL` and `X_STAGE` only
+    /// stage vectors and predicates and are not compared.
+    const V_RANDOM: u64 = 6;
+    const P_RANDOM: u64 = 6;
+    const V_SCRATCH: u8 = 31;
+    const P_ALL: u8 = 15;
+    const X_STAGE: u8 = 26;
+
     fn random_op(rng: &mut SplitMix64) -> Op {
-        match rng.below(5) {
+        let v = |rng: &mut SplitMix64| rng.below(V_RANDOM) as u8;
+        let p = |rng: &mut SplitMix64| rng.below(P_RANDOM) as u8;
+        match rng.below(12) {
             0 => Op::MovImm(rng.below(24) as u8, rng.next_u64() as i64),
             1 => Op::AluRR(
                 *rng.pick(&ALU_OPS),
@@ -1443,7 +1545,68 @@ mod proptests {
                 rng.i64_in(-1000, 1000),
             ),
             3 => Op::Store(rng.below(24) as u8, 0x4000 + 8 * rng.below(64)),
-            _ => Op::Load(rng.below(24) as u8, 0x4000 + 8 * rng.below(64)),
+            4 => Op::Load(rng.below(24) as u8, 0x4000 + 8 * rng.below(64)),
+            5 => {
+                let mut words = [0u64; LANES_64];
+                for w in &mut words {
+                    *w = if rng.below(2) == 0 {
+                        rng.next_u64()
+                    } else {
+                        *rng.pick(&EDGE_WORDS)
+                    };
+                }
+                Op::VSet(v(rng), words)
+            }
+            6 => {
+                // Empty and full predicates are as likely as sparse and
+                // dense random ones, so empty reductions come up often.
+                let bits = match rng.below(4) {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 => rng.next_u64(),
+                    _ => rng.next_u64() & rng.next_u64() & rng.next_u64(),
+                };
+                Op::PSet(p(rng), bits)
+            }
+            7 => Op::VAluVV(
+                *rng.pick(&VALU_OPS),
+                *rng.pick(&ESIZES),
+                v(rng),
+                v(rng),
+                v(rng),
+                p(rng),
+            ),
+            8 => {
+                let imm = if rng.below(4) == 0 {
+                    rng.next_u64() as i64
+                } else {
+                    rng.i64_in(-70, 70)
+                };
+                Op::VAluVI(
+                    *rng.pick(&VALU_OPS),
+                    *rng.pick(&ESIZES),
+                    v(rng),
+                    v(rng),
+                    imm,
+                    p(rng),
+                )
+            }
+            9 => Op::VCmpVV(
+                *rng.pick(&CONDS),
+                *rng.pick(&ESIZES),
+                p(rng),
+                v(rng),
+                v(rng),
+                p(rng),
+            ),
+            10 => Op::VSel(*rng.pick(&ESIZES), v(rng), p(rng), v(rng), v(rng)),
+            _ => Op::VReduce(
+                *rng.pick(&RED_OPS),
+                *rng.pick(&ESIZES),
+                rng.below(24) as u8,
+                v(rng),
+                p(rng),
+            ),
         }
     }
 
@@ -1466,7 +1629,78 @@ mod proptests {
         }
     }
 
-    fn check_program(case: usize, ops: &[Op]) {
+    /// Element `i` of a vector at `n`-byte width, zero-extended.
+    fn lane(v: &VValue, i: usize, n: usize) -> u64 {
+        let mut w = [0u8; 8];
+        w[..n].copy_from_slice(&v[i * n..(i + 1) * n]);
+        u64::from_le_bytes(w)
+    }
+
+    /// Element `i` at `n`-byte width, sign-extended.
+    fn lane_signed(v: &VValue, i: usize, n: usize) -> i64 {
+        let pad = 64 - 8 * n as u32;
+        ((lane(v, i, n) << pad) as i64) >> pad
+    }
+
+    /// Writes the low `n` bytes of `x` to element `i`: the element
+    /// width wraps every result.
+    fn set_lane(v: &mut VValue, i: usize, n: usize, x: u64) {
+        v[i * n..(i + 1) * n].copy_from_slice(&x.to_le_bytes()[..n]);
+    }
+
+    /// Element `i` at `n`-byte width is governed by predicate bit `i * n`.
+    fn active(p: u64, i: usize, n: usize) -> bool {
+        p & (1 << (i * n)) != 0
+    }
+
+    /// Lane `i` (`n` bytes wide) of a vector ALU op on `vn` and the
+    /// signed second operand `b`; the caller's lane write wraps it.
+    fn oracle_valu(op: VAluOp, vn: &VValue, i: usize, n: usize, b: i64) -> u64 {
+        let (x, a) = (lane(vn, i, n), lane_signed(vn, i, n));
+        match op {
+            VAluOp::Add => a.wrapping_add(b) as u64,
+            VAluOp::Sub => a.wrapping_sub(b) as u64,
+            VAluOp::Mul => a.wrapping_mul(b) as u64,
+            VAluOp::And => (a & b) as u64,
+            VAluOp::Or => (a | b) as u64,
+            VAluOp::Xor => (a ^ b) as u64,
+            VAluOp::Smin => a.min(b) as u64,
+            VAluOp::Smax => a.max(b) as u64,
+            VAluOp::Shl => x << (b & 63),
+            VAluOp::Shr => x >> (b & 63),
+        }
+    }
+
+    fn oracle_cond(cond: BranchCond, a: i64, b: i64) -> bool {
+        match cond {
+            BranchCond::Eq => a == b,
+            BranchCond::Ne => a != b,
+            BranchCond::Lt => a < b,
+            BranchCond::Le => a <= b,
+            BranchCond::Gt => a > b,
+            BranchCond::Ge => a >= b,
+        }
+    }
+
+    fn vreg(r: u8) -> VReg {
+        VReg::new(r)
+    }
+
+    fn preg(r: u8) -> PReg {
+        PReg::new(r)
+    }
+
+    fn emit_vset(b: &mut ProgramBuilder, v: u8, words: &[u64; LANES_64]) {
+        for (i, &w) in words.iter().enumerate() {
+            b.mov_imm(XReg::new(X_STAGE), w as i64);
+            b.vinsert(vreg(v), XReg::new(X_STAGE), i as u8, ElemSize::B64);
+        }
+    }
+
+    /// Runs `ops` on the simulator and on the oracle, asserts that every
+    /// compared register and memory word agrees, and returns the labels
+    /// of the vector behaviours the case exercised.
+    fn check_program(case: usize, ops: &[Op]) -> BTreeSet<String> {
         // Build the simulated program.
         let mut b = ProgramBuilder::new();
         for op in ops {
@@ -1488,6 +1722,42 @@ mod proptests {
                     b.mov_imm(XReg::new(25), addr as i64);
                     b.load(XReg::new(r), XReg::new(25), 0, quetzal_isa::MemSize::B8);
                 }
+                Op::VSet(v, ref words) => emit_vset(&mut b, v, words),
+                Op::PSet(p, bits) => {
+                    // One byte per predicate bit, then `byte != 0` over
+                    // every byte lane.
+                    let mut words = [0u64; LANES_64];
+                    for (i, w) in words.iter_mut().enumerate() {
+                        for k in 0..8 {
+                            *w |= ((bits >> (8 * i + k)) & 1) << (8 * k);
+                        }
+                    }
+                    emit_vset(&mut b, V_SCRATCH, &words);
+                    b.ptrue(preg(P_ALL), ElemSize::B8);
+                    b.vcmp_vi(
+                        BranchCond::Ne,
+                        preg(p),
+                        vreg(V_SCRATCH),
+                        0,
+                        preg(P_ALL),
+                        ElemSize::B8,
+                    );
+                }
+                Op::VAluVV(o, e, d, n, m, g) => {
+                    b.valu_vv(o, vreg(d), vreg(n), vreg(m), preg(g), e);
+                }
+                Op::VAluVI(o, e, d, n, imm, g) => {
+                    b.valu_vi(o, vreg(d), vreg(n), imm, preg(g), e);
+                }
+                Op::VCmpVV(c, e, d, n, m, g) => {
+                    b.vcmp_vv(c, preg(d), vreg(n), vreg(m), preg(g), e);
+                }
+                Op::VSel(e, d, g, n, m) => {
+                    b.vsel(vreg(d), preg(g), vreg(n), vreg(m), e);
+                }
+                Op::VReduce(o, e, d, n, g) => {
+                    b.vreduce(o, XReg::new(d), vreg(n), preg(g), e);
+                }
             }
         }
         b.halt();
@@ -1496,7 +1766,10 @@ mod proptests {
 
         // Evaluate with the direct oracle.
         let mut regs = [0u64; 26];
+        let mut vregs = [[0u8; VLEN_BYTES]; V_RANDOM as usize];
+        let mut pregs = [0u64; P_RANDOM as usize];
         let mut mem = std::collections::HashMap::<u64, u64>::new();
+        let mut seen = BTreeSet::new();
         for op in ops {
             match *op {
                 Op::MovImm(r, v) => regs[r as usize] = v as u64,
@@ -1514,6 +1787,76 @@ mod proptests {
                     regs[25] = addr;
                     regs[r as usize] = mem.get(&addr).copied().unwrap_or(0);
                 }
+                Op::VSet(v, ref words) => {
+                    for (i, &w) in words.iter().enumerate() {
+                        set_lane(&mut vregs[v as usize], i, 8, w);
+                    }
+                }
+                Op::PSet(p, bits) => pregs[p as usize] = bits,
+                Op::VAluVV(o, e, d, n, m, g) => {
+                    let (w, vn, vm) = (e.bytes(), vregs[n as usize], vregs[m as usize]);
+                    for i in (0..VLEN_BYTES / w).filter(|&i| active(pregs[g as usize], i, w)) {
+                        let r = oracle_valu(o, &vn, i, w, lane_signed(&vm, i, w));
+                        set_lane(&mut vregs[d as usize], i, w, r);
+                    }
+                    seen.insert(format!("valu_vv {o:?} {e:?}"));
+                }
+                Op::VAluVI(o, e, d, n, imm, g) => {
+                    let (w, vn) = (e.bytes(), vregs[n as usize]);
+                    for i in (0..VLEN_BYTES / w).filter(|&i| active(pregs[g as usize], i, w)) {
+                        let r = oracle_valu(o, &vn, i, w, imm);
+                        set_lane(&mut vregs[d as usize], i, w, r);
+                    }
+                    seen.insert(format!("valu_vi {o:?} {e:?}"));
+                }
+                Op::VCmpVV(c, e, d, n, m, g) => {
+                    let (w, vn, vm) = (e.bytes(), &vregs[n as usize], &vregs[m as usize]);
+                    let mut bits = 0u64;
+                    for i in (0..VLEN_BYTES / w).filter(|&i| active(pregs[g as usize], i, w)) {
+                        if oracle_cond(c, lane_signed(vn, i, w), lane_signed(vm, i, w)) {
+                            bits |= 1 << (i * w);
+                        }
+                    }
+                    pregs[d as usize] = bits;
+                    seen.insert(format!("vcmp_vv {c:?} {e:?}"));
+                }
+                Op::VSel(e, d, g, n, m) => {
+                    let (w, vn, vm) = (e.bytes(), vregs[n as usize], vregs[m as usize]);
+                    for i in 0..VLEN_BYTES / w {
+                        let src = if active(pregs[g as usize], i, w) {
+                            &vn
+                        } else {
+                            &vm
+                        };
+                        set_lane(&mut vregs[d as usize], i, w, lane(src, i, w));
+                    }
+                    seen.insert(format!("vsel {e:?}"));
+                }
+                Op::VReduce(o, e, d, n, g) => {
+                    let (vn, pg, w) = (vregs[n as usize], pregs[g as usize], e.bytes());
+                    // Fold from the operation's identity: an empty
+                    // predicate yields 0, i64::MAX or i64::MIN.
+                    let mut acc = match o {
+                        RedOp::Add => 0i64,
+                        RedOp::Min => i64::MAX,
+                        RedOp::Max => i64::MIN,
+                    };
+                    let mut any = false;
+                    for i in (0..VLEN_BYTES / w).filter(|&i| active(pg, i, w)) {
+                        let x = lane_signed(&vn, i, w);
+                        acc = match o {
+                            RedOp::Add => acc.wrapping_add(x),
+                            RedOp::Min => acc.min(x),
+                            RedOp::Max => acc.max(x),
+                        };
+                        any = true;
+                    }
+                    regs[d as usize] = acc as u64;
+                    seen.insert(format!("vreduce {o:?} {e:?}"));
+                    if !any {
+                        seen.insert(format!("vreduce {o:?} empty"));
+                    }
+                }
             }
         }
         for (r, &want) in regs.iter().enumerate() {
@@ -1523,6 +1866,20 @@ mod proptests {
                 "case {case}: x{r} ({ops:?})"
             );
         }
+        for (r, want) in vregs.iter().enumerate() {
+            assert_eq!(
+                core.state().v(vreg(r as u8)),
+                want,
+                "case {case}: v{r} ({ops:?})"
+            );
+        }
+        for (r, &want) in pregs.iter().enumerate() {
+            assert_eq!(
+                core.state().p(preg(r as u8)),
+                want,
+                "case {case}: p{r} ({ops:?})"
+            );
+        }
         for (&addr, &want) in &mem {
             assert_eq!(
                 core.state().mem.read_le(addr, 8),
@@ -1530,16 +1887,40 @@ mod proptests {
                 "case {case}: mem {addr:#x} ({ops:?})"
             );
         }
+        seen
     }
 
     #[test]
     fn interpreter_matches_oracle() {
         let mut rng = SplitMix64::new(0x1A7E_5EED);
-        for case in 0..48 {
+        let mut seen = BTreeSet::new();
+        for case in 0..160 {
             let len = rng.i64_in(1, 60) as usize;
             let ops: Vec<Op> = (0..len).map(|_| random_op(&mut rng)).collect();
-            check_program(case, &ops);
+            seen.extend(check_program(case, &ops));
         }
+        // The seeded draw must reach every vector behaviour the harness
+        // covers, so a change of seed or distribution cannot quietly
+        // drop one.
+        let mut want = BTreeSet::new();
+        for e in ESIZES {
+            for o in VALU_OPS {
+                want.insert(format!("valu_vv {o:?} {e:?}"));
+                want.insert(format!("valu_vi {o:?} {e:?}"));
+            }
+            for c in CONDS {
+                want.insert(format!("vcmp_vv {c:?} {e:?}"));
+            }
+            want.insert(format!("vsel {e:?}"));
+            for o in RED_OPS {
+                want.insert(format!("vreduce {o:?} {e:?}"));
+            }
+        }
+        for o in RED_OPS {
+            want.insert(format!("vreduce {o:?} empty"));
+        }
+        let missed: Vec<_> = want.difference(&seen).collect();
+        assert!(missed.is_empty(), "oracle cases never exercised {missed:?}");
     }
 
     /// Every ALU op is exercised against the oracle on targeted operand

@@ -37,22 +37,23 @@
 //!
 //! # Graceful degradation
 //!
-//! The `*_report` entry points ([`run_report`](BatchRunner::run_report),
-//! [`run_machines_report`](BatchRunner::run_machines_report)) add a
-//! fault boundary *per item*: a work closure that returns a typed
-//! [`SimError`] or panics costs only its own item, not the shard or the
-//! batch. The failing item is retried once on a brand-new (non-pooled)
-//! context; the outcome lands in a [`RunReport`] whose `failures` list
-//! is ordered by item index and independent of the thread count, while
-//! every healthy item's result stays bit-identical to a fault-free run.
-//! A machine that was live during a failure is **quarantined** — moved
-//! to a kill list and never returned to the pool — because a panic may
+//! The `*_report` entry points
+//! ([`run_machines_report`](BatchRunner::run_machines_report) and its
+//! pooled and verified variants) add a fault boundary *per item*: a
+//! work closure that returns a typed [`SimError`] or panics costs only
+//! its own item, not the shard or the batch. The failing item is
+//! retried once on a brand-new (non-pooled) machine; the outcome lands
+//! in a [`RunReport`] whose `failures` list is ordered by item index
+//! and independent of the thread count, while every healthy item's
+//! result stays bit-identical to a fault-free run. A machine that was
+//! live during a failure is **quarantined** — counted, dropped and
+//! never returned to the pool — because a panic may
 //! have unwound mid-simulation and [`Machine::reset`]'s cold-boot
 //! guarantee is only pinned for machines that completed their runs.
 //!
 //! The `*_verified` variants
-//! ([`run_report_verified`](BatchRunner::run_report_verified),
-//! [`run_machines_report_verified`](BatchRunner::run_machines_report_verified))
+//! ([`run_machines_report_verified`](BatchRunner::run_machines_report_verified),
+//! [`run_machines_report_verified_pooled`](BatchRunner::run_machines_report_verified_pooled))
 //! put a static gate in front of the fault boundary: each item's guest
 //! program is checked by `quetzal-verify` first, and programs the
 //! verifier can *prove* will fault are rejected up front
@@ -378,37 +379,6 @@ impl BatchRunner {
         )
     }
 
-    /// Fault-tolerant [`run`](Self::run): the work closure is fallible,
-    /// and a failure (typed [`SimError`] or panic) costs only its item.
-    ///
-    /// Each failing item is retried **once** on a brand-new context from
-    /// `init` — both to rule out contamination from earlier items that
-    /// shared the shard's context, and because a panicked closure may
-    /// have left the context inconsistent. After the retry the context
-    /// is replaced again, so later items of the shard never run on a
-    /// context a failure touched. Healthy items are bit-identical to a
-    /// fault-free run at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BatchError`] only for infrastructure panics (e.g. in
-    /// `init` itself) — work-closure failures land in the report.
-    pub fn run_report<C, T, R>(
-        &self,
-        items: &[T],
-        init: impl Fn() -> C + Sync,
-        work: impl Fn(&mut C, usize, &T) -> Result<R, SimError> + Sync,
-    ) -> Result<RunReport<R>, BatchError>
-    where
-        T: Sync,
-        R: Send,
-    {
-        let rows = self.run(items, &init, |ctx, i, item| {
-            retry_item(ctx, |c| *c = init(), i, item, &work)
-        })?;
-        Ok(Self::collect_report(rows))
-    }
-
     /// Fault-tolerant [`run_machines`](Self::run_machines): pooled
     /// machines, per-item fault boundary, one retry per failing item on
     /// a brand-new (never pooled) machine.
@@ -460,69 +430,23 @@ impl BatchRunner {
         let rows = self.run(
             items,
             || pool.checkout(),
-            |pooled, i, item| {
-                retry_item(
-                    pooled,
-                    PooledMachine::replace_with_fresh,
-                    i,
-                    item,
-                    |p, i, item| work(p.machine(), i, item),
-                )
-            },
+            |pooled, i, item| retry_item(pooled, i, item, &work),
         )?;
         Ok(Self::collect_report(rows))
     }
 
-    /// [`run_report`](Self::run_report) with a static pre-verification
-    /// gate: before any simulation, every item's [`Program`] (extracted
-    /// by `program_of`, deduplicated by [`Program::id`]) runs through
-    /// [`quetzal_verify::verify`]. Items whose program has a
-    /// [`Verdict::Fatal`] report are rejected up front — they land in
-    /// the failure log as [`FailureCause::Rejected`] and `work` is never
-    /// called for them, so a program the verifier can prove will fault
-    /// costs neither a simulation nor a retry.
-    ///
-    /// Contexts are built lazily: a shard whose items are all rejected
-    /// never calls `init`. Warning-only reports do **not** reject — the
-    /// verifier's soundness contract covers only its fatal findings.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BatchError`] only for infrastructure panics; rejections
-    /// and simulation failures land in the report.
-    pub fn run_report_verified<C, T, R>(
-        &self,
-        items: &[T],
-        program_of: impl Fn(&T) -> &Program + Sync,
-        init: impl Fn() -> C + Sync,
-        work: impl Fn(&mut C, usize, &T) -> Result<R, SimError> + Sync,
-    ) -> Result<RunReport<R>, BatchError>
-    where
-        T: Sync,
-        R: Send,
-    {
-        let admissions = Self::admission_map(items, &program_of, None);
-        let rows = self.run(
-            items,
-            || None::<C>,
-            |slot, i, item| {
-                let (rejected, _) = Self::admission_of(&admissions, &program_of, item);
-                if let Some(report) = rejected {
-                    return (None, Some(Self::rejection(i, report)));
-                }
-                let ctx = slot.get_or_insert_with(&init);
-                retry_item(ctx, |c| *c = init(), i, item, &work)
-            },
-        )?;
-        Ok(Self::collect_report(rows))
-    }
-
-    /// [`run_machines_report`](Self::run_machines_report) with the same
-    /// static pre-verification gate as
-    /// [`run_report_verified`](Self::run_report_verified): statically
-    /// fatal programs are rejected before any machine is checked out of
-    /// the pool, so they burn neither a simulation nor a pooled machine
-    /// (a shard of nothing but rejected items never touches the pool).
+    /// [`run_machines_report`](Self::run_machines_report) with a static
+    /// pre-verification gate: before any simulation, every item's
+    /// [`Program`] (extracted by `program_of`, deduplicated by
+    /// [`Program::id`]) runs through [`quetzal_verify::verify`]. Items
+    /// whose program has a [`Verdict::Fatal`] report are rejected up
+    /// front — they land in the failure log as
+    /// [`FailureCause::Rejected`] and `work` is never called for them —
+    /// before any machine is checked out of the pool, so they burn
+    /// neither a simulation, a retry nor a pooled machine (a shard of
+    /// nothing but rejected items never touches the pool).
+    /// Warning-only reports do **not** reject — the verifier's
+    /// soundness contract covers only its fatal findings.
     ///
     /// Admitted items additionally get their machine **pre-sized** from
     /// the program's proven resource bound (see the module docs):
@@ -574,7 +498,7 @@ impl BatchRunner {
         R: Send,
     {
         let latencies = crate::class_latencies(&pool.config().core);
-        let admissions = Self::admission_map(items, &program_of, Some(latencies));
+        let admissions = Self::admission_map(items, &program_of, latencies);
         let rows = self.run(
             items,
             || None::<PooledMachine<'_>>,
@@ -584,19 +508,13 @@ impl BatchRunner {
                     return (None, Some(Self::rejection(i, report)));
                 }
                 let pooled = slot.get_or_insert_with(|| pool.checkout());
-                retry_item(
-                    pooled,
-                    PooledMachine::replace_with_fresh,
-                    i,
-                    item,
-                    |p, i, item| {
-                        // Re-applied per attempt: the machine may have
-                        // been reset, fault-replaced, or sized for a
-                        // different program by the previous item.
-                        budgets.apply(p.machine());
-                        work(p.machine(), i, item)
-                    },
-                )
+                retry_item(pooled, i, item, |m, i, item| {
+                    // Re-applied per attempt: the machine may have
+                    // been reset, fault-replaced, or sized for a
+                    // different program by the previous item.
+                    budgets.apply(m);
+                    work(m, i, item)
+                })
             },
         )?;
         Ok(Self::collect_report(rows))
@@ -607,18 +525,18 @@ impl BatchRunner {
     /// analysed once) and folds each report into an admission decision:
     /// [`Verdict::Fatal`] programs are rejected outright, everything
     /// else carries the pre-sized [`Budgets`] its proven resource bound
-    /// justifies. `latencies` selects the per-class worst-case retire
-    /// latencies the cycle ceiling is computed against — the machine
-    /// entry points derive them from the pool's actual core
-    /// configuration ([`crate::class_latencies`]) so the ceiling bounds
-    /// the machine being simulated, not the paper's default core.
+    /// justifies. `latencies` are the per-class worst-case retire
+    /// latencies the cycle ceiling is computed against, derived from the
+    /// pool's actual core configuration ([`crate::class_latencies`]) so
+    /// the ceiling bounds the machine being simulated, not the paper's
+    /// default core.
     fn admission_map<T>(
         items: &[T],
         program_of: &(impl Fn(&T) -> &Program + Sync),
-        latencies: Option<quetzal_verify::ClassLatencies>,
+        latencies: quetzal_verify::ClassLatencies,
     ) -> HashMap<u64, Admission> {
         let config = VerifyConfig {
-            latencies: latencies.unwrap_or_default(),
+            latencies,
             ..VerifyConfig::default()
         };
         let mut admissions: HashMap<u64, Admission> = HashMap::new();
@@ -1066,31 +984,6 @@ mod tests {
             .unwrap();
         assert!(run.is_clean());
         assert_eq!(run.results, vec![Some(5)]);
-    }
-
-    #[test]
-    fn verified_generic_contexts_are_built_lazily() {
-        // Every item is rejected, so `init` must never run: a batch of
-        // provably fatal programs costs zero contexts.
-        let bad = Program::from_raw(vec![Instruction::MovImm { rd: X0, imm: 7 }], "falls-off");
-        let items = [bad.clone(), bad];
-        let inits = AtomicUsize::new(0);
-        let report = BatchRunner::new(1)
-            .with_shard_size(2)
-            .run_report_verified(
-                &items,
-                |p| p,
-                || inits.fetch_add(1, Ordering::Relaxed),
-                |_, _, _| Ok(0u64),
-            )
-            .unwrap();
-        assert_eq!(
-            inits.load(Ordering::Relaxed),
-            0,
-            "no context for rejected-only shards"
-        );
-        assert_eq!(report.results, vec![None, None]);
-        assert_eq!(report.failures.len(), 2);
     }
 
     #[test]

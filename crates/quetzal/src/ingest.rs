@@ -39,7 +39,8 @@ pub mod manifest;
 use crate::batch::{BatchError, BatchRunner};
 use crate::pool::{FailureCause, MachinePool};
 use crate::{Machine, SimError};
-use manifest::{Fnv64, ManifestState, ShardManifest, ShardStatus};
+use manifest::{ManifestState, ShardManifest, ShardStatus};
+use quetzal_genomics::rng::{fnv64, Fnv64};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -453,7 +454,7 @@ fn checkpoint_satisfies(
             }
         }
     }
-    Ok(bytes.len() as u64 == m.output_len && manifest::fnv64(&bytes) == m.output_fnv)
+    Ok(bytes.len() as u64 == m.output_len && fnv64(&bytes) == m.output_fnv)
 }
 
 /// Runs one shard's items through the pool, rendering one line per
@@ -542,7 +543,7 @@ fn run_shard<T: Sync>(
         }
     }
     let bytes = lines.as_bytes();
-    let output_fnv = manifest::fnv64(bytes);
+    let output_fnv = fnv64(bytes);
     let out_path = manifest::output_path(&config.checkpoint_dir, shard);
     manifest::write_atomic(&out_path, bytes)
         .map_err(|e| io_err(format!("writing {}", out_path.display()), e))?;
@@ -765,13 +766,13 @@ pub fn concat_output(dir: &Path, shards: u64, out: &mut dyn Write) -> Result<u64
         File::open(&path)
             .and_then(|mut f| f.read_to_end(&mut bytes))
             .map_err(|e| io_err(format!("reading {}", path.display()), e))?;
-        if bytes.len() as u64 != m.output_len || manifest::fnv64(&bytes) != m.output_fnv {
+        if bytes.len() as u64 != m.output_len || fnv64(&bytes) != m.output_fnv {
             return Err(IngestError::Corrupt {
                 shard,
                 detail: format!(
                     "length {} / fnv {:016x} vs manifest length {} / fnv {:016x}",
                     bytes.len(),
-                    manifest::fnv64(&bytes),
+                    fnv64(&bytes),
                     m.output_len,
                     m.output_fnv
                 ),

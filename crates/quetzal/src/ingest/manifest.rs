@@ -20,53 +20,10 @@
 //! re-run and the torn files are overwritten. Corruption is therefore a
 //! typed, recoverable state, not a crash.
 
+use quetzal_genomics::rng::fnv64;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// Incremental FNV-1a hasher — the workspace's zero-dependency content
-/// checksum (collision resistance is not a goal; torn-write and
-/// bit-flip *detection* is).
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Fnv64 {
-        Fnv64(FNV_OFFSET)
-    }
-}
-
-impl Fnv64 {
-    /// Fresh hasher at the FNV-1a offset basis.
-    pub fn new() -> Fnv64 {
-        Fnv64::default()
-    }
-
-    /// Absorbs bytes.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// The digest so far.
-    pub fn digest(&self) -> u64 {
-        self.0
-    }
-}
-
-/// FNV-1a of one byte slice.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(bytes);
-    h.digest()
-}
 
 /// How a completed shard ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -407,13 +407,14 @@ impl Drop for PooledMachine<'_> {
     }
 }
 
-/// Runs one attempt of a fallible work closure inside a panic boundary,
-/// folding both failure modes into a [`FailureCause`].
-pub(crate) fn attempt<C, R>(
-    ctx: &mut C,
-    work: impl FnOnce(&mut C) -> Result<R, SimError>,
+/// Runs one attempt of a fallible work closure on the checked-out
+/// machine inside a panic boundary, folding both failure modes into a
+/// [`FailureCause`].
+fn attempt<R>(
+    machine: &mut Machine,
+    work: impl FnOnce(&mut Machine) -> Result<R, SimError>,
 ) -> Result<R, FailureCause> {
-    match catch_unwind(AssertUnwindSafe(|| work(ctx))) {
+    match catch_unwind(AssertUnwindSafe(|| work(machine))) {
         Ok(Ok(r)) => Ok(r),
         Ok(Err(e)) => Err(FailureCause::Sim(e)),
         Err(payload) => Err(FailureCause::Panic(panic_message(payload))),
@@ -421,31 +422,30 @@ pub(crate) fn attempt<C, R>(
 }
 
 /// The per-item fault boundary shared by every fault-tolerant batch
-/// entry point: try the item, and on failure replace the context with a
-/// brand-new one (`replace` — for machines, quarantine + fresh) and
-/// retry **once**. After a failed retry the context is replaced again,
-/// so later items of the shard never run on a context a failure
+/// entry point: try the item, and on failure quarantine the machine,
+/// check out a brand-new one ([`PooledMachine::replace_with_fresh`])
+/// and retry **once**. After a failed retry the machine is replaced
+/// again, so later items of the shard never run on a machine a failure
 /// touched. Returns the item's result slot plus its failure-log entry.
-pub(crate) fn retry_item<C, T, R>(
-    ctx: &mut C,
-    replace: impl Fn(&mut C),
+pub(crate) fn retry_item<T, R>(
+    pooled: &mut PooledMachine<'_>,
     i: usize,
     item: &T,
-    work: impl Fn(&mut C, usize, &T) -> Result<R, SimError> + Sync,
+    work: impl Fn(&mut Machine, usize, &T) -> Result<R, SimError>,
 ) -> (Option<R>, Option<ItemFailure>) {
-    match attempt(ctx, |c| work(c, i, item)) {
+    match attempt(pooled.machine(), |m| work(m, i, item)) {
         Ok(r) => (Some(r), None),
         Err(cause) => {
-            replace(ctx);
+            pooled.replace_with_fresh();
             let failure = |recovered| ItemFailure {
                 item: i,
                 cause: cause.clone(),
                 recovered,
             };
-            match attempt(ctx, |c| work(c, i, item)) {
+            match attempt(pooled.machine(), |m| work(m, i, item)) {
                 Ok(r) => (Some(r), Some(failure(true))),
                 Err(_) => {
-                    replace(ctx);
+                    pooled.replace_with_fresh();
                     (None, Some(failure(false)))
                 }
             }
@@ -614,21 +614,16 @@ mod tests {
 
     #[test]
     fn retry_item_replaces_context_on_both_failures() {
-        // First attempt and retry both fail: the context must be
+        // First attempt and retry both fail: the machine must be
         // replaced twice, and the failure must be unrecovered.
-        let replaced = std::sync::atomic::AtomicUsize::new(0);
-        let mut ctx = 0u64;
-        let (result, failure) = retry_item(
-            &mut ctx,
-            |_c| {
-                replaced.fetch_add(1, Ordering::Relaxed);
-            },
-            4,
-            &(),
-            |_c, _i, _item| -> Result<u64, SimError> { Err(SimError::InstLimit { budget: 1 }) },
-        );
+        let pool = MachinePool::new(&MachineConfig::default(), ExecMode::default());
+        let mut pooled = pool.checkout();
+        let (result, failure) = retry_item(&mut pooled, 4, &(), |_m, _i, _item| {
+            Err::<u64, _>(SimError::InstLimit { budget: 1 })
+        });
         assert!(result.is_none());
-        assert_eq!(replaced.load(Ordering::Relaxed), 2);
+        assert_eq!(pool.stats().quarantined, 2, "both failed machines");
+        assert_eq!(pool.stats().built, 3, "two fresh replacements");
         let failure = failure.expect("failure entry");
         assert_eq!(failure.item, 4);
         assert!(!failure.recovered);

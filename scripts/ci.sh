@@ -52,8 +52,12 @@ QUETZAL_FAULT_CASES=12000 QUETZAL_FAULT_SEED=0xF4417 \
 
 echo "==> functional tier: differential oracle vs cycle-level engine"
 # The Fig. 3 grid replayed on both execution engines with per-pair
-# architectural-state equality, plus the exhaustive 116k-pair oracle
-# sweep on the functional tier (inside --test properties).
+# architectural-state equality. Both engines run the one shared
+# instruction-semantics `step`, so this pins what the functional tier
+# adds around it: step lowering, superblock dispatch, budget accounting
+# and fault ordering. The semantics themselves are checked against
+# host-side oracles (the interpreter's scalar/vector oracle unit tests
+# and the exhaustive 116k-pair sweep inside --test properties).
 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
     cargo test -q --offline --release -p quetzal-integration \
     --test functional_equiv
