@@ -16,10 +16,15 @@
 
 use crate::timing::{self, sim_mips};
 use crate::workloads::{run_algo_pairs_pooled, table2_workloads, Algo, Workload, SEED};
-use quetzal::uarch::RunStats;
+use quetzal::uarch::{Core, RunStats};
 use quetzal::{BatchRunner, CoreConfig, ExecMode, MachineConfig, MachinePool};
 use quetzal_algos::Tier;
 use quetzal_genomics::dataset::DatasetSpec;
+use quetzal_isa::{
+    BranchCond, ElemSize, MemSize, ProgramBuilder, QBufSel, QzOp, RedOp, SAluOp, VAluOp, P0, P1,
+    P2, V0, V1, V2, V3, V4, X0, X1, X10, X2, X20, X21, X4, X5, X6,
+};
+use std::time::Instant;
 
 /// Throughput of one simulated kernel (one algorithm / dataset / tier
 /// combination run over every pair of its workload).
@@ -146,9 +151,182 @@ pub fn measure_fig_kernels(scale: f64) -> Vec<KernelThroughput> {
         .collect()
 }
 
+/// Functional-engine host cost of one instruction form.
+#[derive(Debug, Clone)]
+pub struct OpCost {
+    /// Instruction form and element size, e.g. `valu_vv.b64`.
+    pub op: &'static str,
+    /// Host nanoseconds per retired instruction of the form's loop.
+    pub ns_per_inst: f64,
+}
+
+/// Copies of the measured instruction in the loop body.
+const OP_COPIES: usize = 32;
+/// Loop iterations per run.
+const OP_ITERS: i64 = 2000;
+/// Runs per form; the fastest one is reported.
+const OP_SAMPLES: usize = 5;
+
+/// Emits one instance of an instruction form.
+type Emit = fn(&mut ProgramBuilder);
+
+/// The instruction forms of the cost table, one per instruction class
+/// (vector ALU forms at two element sizes). Every form reads the state
+/// [`op_cost_program`] stages and writes registers no other form or
+/// the loop control reads.
+const OP_FORMS: &[(&str, Emit)] = &[
+    ("alu_ri", |b| {
+        b.alu_ri(SAluOp::Add, X6, X1, 3);
+    }),
+    ("load", |b| {
+        b.load(X6, X10, 8, MemSize::B8);
+    }),
+    ("store", |b| {
+        b.store(X1, X10, 8, MemSize::B8);
+    }),
+    ("dup.b64", |b| {
+        b.dup(V2, X1, ElemSize::B64);
+    }),
+    ("index.b64", |b| {
+        b.index(V2, X1, 3, ElemSize::B64);
+    }),
+    ("valu_vv.b64", |b| {
+        b.valu_vv(VAluOp::Add, V2, V0, V1, P0, ElemSize::B64);
+    }),
+    ("valu_vv.b8", |b| {
+        b.valu_vv(VAluOp::Add, V2, V0, V1, P1, ElemSize::B8);
+    }),
+    ("valu_vi.b64", |b| {
+        b.valu_vi(VAluOp::Smax, V2, V0, 9, P0, ElemSize::B64);
+    }),
+    ("vcmp_vv.b64", |b| {
+        b.vcmp_vv(BranchCond::Lt, P2, V0, V1, P0, ElemSize::B64);
+    }),
+    ("vcmp_vi.b8", |b| {
+        b.vcmp_vi(BranchCond::Ne, P2, V0, 0, P1, ElemSize::B8);
+    }),
+    ("vsel.b64", |b| {
+        b.vsel(V2, P0, V0, V1, ElemSize::B64);
+    }),
+    ("vreduce.b64", |b| {
+        b.vreduce(RedOp::Max, X6, V0, P0, ElemSize::B64);
+    }),
+    ("vslidedown.b64", |b| {
+        b.vslidedown(V2, V0, 1, ElemSize::B64);
+    }),
+    ("vslide1up.b64", |b| {
+        b.vslide1up(V2, V0, X1, ElemSize::B64);
+    }),
+    ("vload.b64", |b| {
+        b.vload(V2, X10, P0, ElemSize::B64);
+    }),
+    ("vload.b8", |b| {
+        b.vload(V2, X10, P1, ElemSize::B8);
+    }),
+    ("vload_n.b64", |b| {
+        b.vload_n(V2, X10, P0, ElemSize::B64, MemSize::B1);
+    }),
+    ("vstore.b64", |b| {
+        b.vstore(V0, X10, P0, ElemSize::B64);
+    }),
+    ("vgather.b64", |b| {
+        b.vgather(V2, X10, V3, P0, ElemSize::B64, MemSize::B8, 8);
+    }),
+    ("vscatter.b64", |b| {
+        b.vscatter(V0, X10, V3, P0, ElemSize::B64, MemSize::B8, 8);
+    }),
+    ("ptrue.b64", |b| {
+        b.ptrue(P2, ElemSize::B64);
+    }),
+    ("pwhilelt.b64", |b| {
+        b.pwhilelt(P2, X2, ElemSize::B64);
+    }),
+    ("pcount.b64", |b| {
+        b.pcount(X6, P0, ElemSize::B64);
+    }),
+    ("qzload", |b| {
+        b.qzload(V2, V4, QBufSel::Q0, P0);
+    }),
+    ("qzmhm", |b| {
+        b.qzmhm(QzOp::Count, V2, V4, V4, P0);
+    }),
+    ("qzcount", |b| {
+        b.qzcount(V2, V0, V1);
+    }),
+];
+
+/// A loop of [`OP_ITERS`] iterations whose body is [`OP_COPIES`] copies
+/// of one instruction form, after a prologue that stages its operands:
+/// a page-aligned buffer at `x10`, all-true predicates at 64 and 8 bits,
+/// distinct lanes in `v0`/`v1`, in-page gather offsets in `v3` and a
+/// configured 2-bit QBUFFER pair indexed by `v4`.
+fn op_cost_program(emit: Emit) -> quetzal::Program {
+    let mut b = ProgramBuilder::new();
+    b.mov_imm(X10, 0x1_0000).mov_imm(X1, 5).mov_imm(X2, 5);
+    b.ptrue(P0, ElemSize::B64).ptrue(P1, ElemSize::B8);
+    b.index(V0, X1, 7, ElemSize::B64).dup(V1, X2, ElemSize::B64);
+    b.mov_imm(X0, 0).index(V3, X0, 1, ElemSize::B64);
+    b.mov_imm(X4, 64).mov_imm(X5, 0).qzconf(X4, X4, X5);
+    b.dup_imm(V4, 0, ElemSize::B64);
+    b.mov_imm(X20, OP_ITERS).mov_imm(X21, 0);
+    let top = b.label();
+    b.bind(top);
+    for _ in 0..OP_COPIES {
+        emit(&mut b);
+    }
+    b.alu_ri(SAluOp::Add, X21, X21, 1);
+    b.branch(BranchCond::Lt, X21, X20, top);
+    b.halt();
+    b.build().expect("op cost program builds")
+}
+
+/// Measures the functional engine's host cost per instruction for each
+/// of [`OP_FORMS`]: the fastest of [`OP_SAMPLES`] runs of the form's
+/// loop (after one untimed run that compiles it), divided by the
+/// instructions it retires. The 2 loop-control instructions of every
+/// 34 count in the divisor, so a row slightly understates a form that
+/// costs more than a scalar add.
+pub fn measure_op_costs() -> Vec<OpCost> {
+    OP_FORMS
+        .iter()
+        .map(|&(op, emit)| {
+            let program = op_cost_program(emit);
+            let mut core = Core::new(CoreConfig::a64fx_like());
+            core.set_exec_mode(ExecMode::Functional);
+            let insts = core.run(&program).expect("op cost loop runs").instructions;
+            let best = (0..OP_SAMPLES)
+                .map(|_| {
+                    let start = Instant::now();
+                    std::hint::black_box(core.run(&program).expect("op cost loop runs"));
+                    start.elapsed().as_nanos() as f64
+                })
+                .fold(f64::INFINITY, f64::min);
+            OpCost {
+                op,
+                ns_per_inst: best / insts as f64,
+            }
+        })
+        .collect()
+}
+
+/// Renders the per-instruction cost table (stderr of `bench_uarch`).
+pub fn op_cost_table(ops: &[OpCost]) -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "== Functional engine, host ns per instruction ({OP_COPIES}-copy loop body, \
+         min of {OP_SAMPLES} runs)"
+    );
+    for o in ops {
+        let _ = writeln!(out, "{:<16} {:>8.1}", o.op, o.ns_per_inst);
+    }
+    out
+}
+
 /// Renders measurements as the `BENCH_uarch.json` document (no external
 /// JSON dependency; the format is flat and hand-emitted).
-pub fn to_json(results: &[KernelThroughput], scale: f64) -> String {
+pub fn to_json(results: &[KernelThroughput], ops: &[OpCost], scale: f64) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -163,6 +341,16 @@ pub fn to_json(results: &[KernelThroughput], scale: f64) -> String {
             "    {{\"kernel\": \"{}\", \"engine\": \"{}\", \"sim_instructions\": {}, \
              \"sim_cycles\": {}, \"median_wall_ns\": {:.0}, \"sim_mips\": {:.2}}}{comma}",
             r.kernel, r.engine, r.sim_instructions, r.sim_cycles, r.median_wall_ns, r.sim_mips
+        );
+    }
+    let _ = writeln!(out, "  ],");
+    let _ = writeln!(out, "  \"ops_functional\": [");
+    for (i, o) in ops.iter().enumerate() {
+        let comma = if i + 1 == ops.len() { "" } else { "," };
+        let _ = writeln!(
+            out,
+            "    {{\"op\": \"{}\", \"ns_per_inst\": {:.2}}}{comma}",
+            o.op, o.ns_per_inst
         );
     }
     let _ = writeln!(out, "  ],");
@@ -274,7 +462,7 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let rs = [sample(1.0), sample_engine(8.0, "functional")];
-        let j = to_json(&rs, 1.0);
+        let j = to_json(&rs, &[], 1.0);
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert_eq!(j.matches("\"kernel\"").count(), 2);
         assert_eq!(j.matches("\"engine\": \"cycle\"").count(), 1);
@@ -286,6 +474,37 @@ mod tests {
         // Entries are comma-separated with no trailing comma.
         assert_eq!(j.matches("},\n").count(), 1);
         assert!(j.contains("}\n  ],"));
+        assert!(j.contains("\"ops_functional\": [\n  ],"));
+
+        let ops = [
+            OpCost {
+                op: "alu_ri",
+                ns_per_inst: 5.0,
+            },
+            OpCost {
+                op: "valu_vv.b64",
+                ns_per_inst: 12.345,
+            },
+        ];
+        let j = to_json(&rs, &ops, 1.0);
+        assert!(j.contains(
+            "  \"ops_functional\": [\n    {\"op\": \"alu_ri\", \"ns_per_inst\": 5.00},\n    \
+             {\"op\": \"valu_vv.b64\", \"ns_per_inst\": 12.35}\n  ],\n"
+        ));
+    }
+
+    #[test]
+    fn every_op_form_runs_on_the_functional_engine() {
+        for &(op, emit) in OP_FORMS {
+            let program = op_cost_program(emit);
+            let mut core = Core::new(CoreConfig::a64fx_like());
+            core.set_exec_mode(ExecMode::Functional);
+            let stats = core.run(&program).unwrap_or_else(|e| panic!("{op}: {e}"));
+            assert!(
+                stats.instructions > (OP_COPIES as u64) * (OP_ITERS as u64),
+                "{op}"
+            );
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! connected by unconditional control flow into **superblocks**
 //! dispatched with a single lookup. Compiled programs are cached by id
 //! *and by instruction-stream content* alongside the predecode tables
-//! (see [`CompiledCache`]), so steady-state execution touches no
-//! decoder at all — even when a driver stages a fresh `Program` per
-//! sequence pair, identical code compiles exactly once.
+//! (see [`CompiledCache`]), and a program is predecoded only when it is
+//! compiled: a driver that stages a fresh `Program` per sequence pair
+//! compiles identical code once for as long as its content stays in
+//! the bounded index.
 //!
 //! The tier is architecturally exact: it produces bit-identical
 //! register, memory and QBUFFER state to the interpreter, enforces the
@@ -323,6 +324,10 @@ pub(crate) fn run_compiled(
     }
 }
 
+/// One content-index entry: the instruction stream (collision guard)
+/// and its compiled form.
+type ContentEntry = (Arc<[Instruction]>, Arc<CompiledProgram>);
+
 /// Per-core cache of compiled programs — the functional analogue of
 /// [`crate::predecode::DecodeCache`], with the same wholesale-flush
 /// bound.
@@ -333,13 +338,13 @@ pub(crate) fn run_compiled(
 /// sequence pair, but pairs with equal lengths and edit distance stage
 /// byte-identical code — the content index lets every such program
 /// share one compiled superblock table across pairs *and across
-/// kernels*, so steady-state batch execution stops recompiling at all.
+/// kernels*, so a program compiles again only after its content was
+/// flushed. Each index is bounded by [`CAPACITY`](Self::CAPACITY) and
+/// flushed wholesale when it fills. Fresh ids fill the id index every
+/// `CAPACITY` programs, and that flush keeps the compiled content; a
+/// flush of the content index takes the id index with it.
 /// Hash collisions are guarded by full instruction-stream equality, so
 /// a collision costs a compare, never a wrong program.
-/// One content-index entry: the instruction stream (collision guard)
-/// and its compiled form.
-type ContentEntry = (Arc<[Instruction]>, Arc<CompiledProgram>);
-
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CompiledCache {
     by_id: HashMap<u64, Arc<CompiledProgram>>,
@@ -347,29 +352,39 @@ pub(crate) struct CompiledCache {
 }
 
 impl CompiledCache {
-    /// Matches `DecodeCache::CAPACITY`: far above any driver's working
-    /// set, small enough that eviction is a non-event.
+    /// The bound of each index, matching `DecodeCache::CAPACITY`.
     const CAPACITY: usize = 64;
 
     /// The compiled form of `program`, compiling on first sight of its
     /// *content* (identical code under a different id hits the cache).
-    pub(crate) fn get(&mut self, program: &Program, pre: &Predecode) -> Arc<CompiledProgram> {
-        if self.by_id.len() >= Self::CAPACITY && !self.by_id.contains_key(&program.id()) {
-            self.by_id.clear();
-            self.by_content.clear();
-        }
+    /// `pre` yields the program's predecode table and is called only
+    /// when the program is actually compiled.
+    pub(crate) fn get<'a>(
+        &mut self,
+        program: &Program,
+        pre: impl FnOnce() -> &'a Predecode,
+    ) -> Arc<CompiledProgram> {
         if let Some(cp) = self.by_id.get(&program.id()) {
             return Arc::clone(cp);
+        }
+        if self.by_id.len() >= Self::CAPACITY {
+            self.by_id.clear();
         }
         let insts = program.instructions();
         let mut h = std::collections::hash_map::DefaultHasher::new();
         std::hash::Hash::hash(insts, &mut h);
         let key = std::hash::Hasher::finish(&h);
+        if self.by_content.len() >= Self::CAPACITY && !self.by_content.contains_key(&key) {
+            // The id index goes too: every table it holds is then also
+            // in the content index, so at most CAPACITY stay alive.
+            self.by_content.clear();
+            self.by_id.clear();
+        }
         let bucket = self.by_content.entry(key).or_default();
         let cp = match bucket.iter().find(|(code, _)| code[..] == *insts) {
             Some((_, cp)) => Arc::clone(cp),
             None => {
-                let cp = Arc::new(compile(program, pre));
+                let cp = Arc::new(compile(program, pre()));
                 bucket.push((insts.into(), Arc::clone(&cp)));
                 cp
             }
@@ -602,8 +617,9 @@ mod tests {
     fn compiled_cache_reuses_and_bounds_entries() {
         let p = loop_program();
         let mut cache = CompiledCache::default();
-        let a = cache.get(&p, &Predecode::of(&p));
-        let b = cache.get(&p, &Predecode::of(&p));
+        let pre = Predecode::of(&p);
+        let a = cache.get(&p, || &pre);
+        let b = cache.get(&p, || unreachable!("an id hit decodes nothing"));
         assert!(Arc::ptr_eq(&a, &b), "same program id must hit the cache");
 
         for i in 0..(CompiledCache::CAPACITY * 2) {
@@ -611,7 +627,8 @@ mod tests {
             pb.mov_imm(X0, i as i64);
             pb.halt();
             let q = pb.build().unwrap();
-            cache.get(&q, &Predecode::of(&q));
+            let pre = Predecode::of(&q);
+            cache.get(&q, || &pre);
         }
         assert!(cache.by_id.len() <= CompiledCache::CAPACITY);
         assert!(cache.by_content.len() <= CompiledCache::CAPACITY);
@@ -627,8 +644,9 @@ mod tests {
         assert_ne!(p.id(), q.id(), "staged programs get fresh ids");
         assert_eq!(p.instructions(), q.instructions());
         let mut cache = CompiledCache::default();
-        let a = cache.get(&p, &Predecode::of(&p));
-        let b = cache.get(&q, &Predecode::of(&q));
+        let pre = Predecode::of(&p);
+        let a = cache.get(&p, || &pre);
+        let b = cache.get(&q, || unreachable!("a content hit compiles nothing"));
         assert!(
             Arc::ptr_eq(&a, &b),
             "identical content must share a compiled program across ids"
@@ -639,7 +657,39 @@ mod tests {
         pb.mov_imm(X0, 7);
         pb.halt();
         let r = pb.build().unwrap();
-        let c = cache.get(&r, &Predecode::of(&r));
+        let pre = Predecode::of(&r);
+        let c = cache.get(&r, || &pre);
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn fresh_ids_over_a_small_content_set_compile_each_content_once() {
+        // The staged-driver pattern: every run is a fresh `Program` (so
+        // the id index fills and flushes again and again), but the code
+        // cycles over at most CAPACITY distinct images. Each image must
+        // compile exactly once; a flush of the id index keeps them.
+        let images: Vec<Vec<Instruction>> = (0..CompiledCache::CAPACITY as i64)
+            .map(|i| vec![Instruction::MovImm { rd: X0, imm: i }, Instruction::Halt])
+            .collect();
+        let mut cache = CompiledCache::default();
+        let mut compiles = 0;
+        let mut first = Vec::new();
+        for round in 0..5 {
+            for (i, code) in images.iter().enumerate() {
+                let p = Program::from_raw(code.clone(), "staged");
+                let pre = Predecode::of(&p);
+                let cp = cache.get(&p, || {
+                    compiles += 1;
+                    &pre
+                });
+                if round == 0 {
+                    first.push(cp);
+                } else {
+                    assert!(Arc::ptr_eq(&first[i], &cp), "image {i} recompiled");
+                }
+            }
+            assert!(cache.by_id.len() <= CompiledCache::CAPACITY);
+        }
+        assert_eq!(compiles, images.len());
     }
 }

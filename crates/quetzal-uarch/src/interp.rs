@@ -18,11 +18,12 @@ use crate::functional::{CompiledCache, ExecMode};
 use crate::ooo::{DynInst, ExecSink, OooTiming};
 use crate::predecode::{DecodeCache, MicroOp, Predecode};
 use crate::probe::{NullProbe, Probe};
-use crate::state::{truncate, ArchState};
+use crate::state::{le_word, set_le_word, ArchState, Lane, PAGE_SIZE};
 use crate::stats::RunStats;
 use quetzal_accel::count_alu::{qzcount_vector, COUNT_ALU_LATENCY};
 use quetzal_isa::{
-    ElemSize, Instruction, PReg, Program, RedOp, SAluOp, VAluOp, VReg, LANES_64, VLEN_BYTES,
+    BranchCond, ElemSize, Instruction, PReg, Program, RedOp, SAluOp, VAluOp, VReg, LANES_64,
+    VLEN_BYTES,
 };
 
 /// Errors raised during simulation.
@@ -129,30 +130,6 @@ fn scalar_alu(op: SAluOp, a: u64, b: u64) -> u64 {
     // Single shared semantics: `quetzal-verify`'s constant propagation
     // folds through the same routine the interpreter executes.
     op.eval(a, b)
-}
-
-fn vector_alu(op: VAluOp, a: i64, b: i64, esize: ElemSize) -> u64 {
-    let r = match op {
-        VAluOp::Add => a.wrapping_add(b),
-        VAluOp::Sub => a.wrapping_sub(b),
-        VAluOp::Mul => a.wrapping_mul(b),
-        VAluOp::And => a & b,
-        VAluOp::Or => a | b,
-        VAluOp::Xor => a ^ b,
-        VAluOp::Smin => a.min(b),
-        VAluOp::Smax => a.max(b),
-        VAluOp::Shl => ((a as u64).wrapping_shl(b as u32 & 63)) as i64,
-        VAluOp::Shr => ((a as u64) & mask_of(esize)).wrapping_shr(b as u32 & 63) as i64,
-    };
-    truncate(r, esize)
-}
-
-fn mask_of(esize: ElemSize) -> u64 {
-    if esize.bits() == 64 {
-        u64::MAX
-    } else {
-        (1u64 << esize.bits()) - 1
-    }
 }
 
 /// Packs the active `(index, value)` lane pairs of a predicated QBUFFER
@@ -271,6 +248,9 @@ fn execute_impl(
 /// `()` drops them for the functional tier, where every call compiles
 /// out (the same zero-cost pattern as [`NullProbe`]).
 pub(crate) trait Effects {
+    /// Whether the sink records anything: `step` skips computing facts
+    /// for a sink that drops them (the same switch as `Probe::ENABLED`).
+    const ENABLED: bool;
     /// A demand memory access of `bytes` bytes at `addr`.
     fn mem(&mut self, addr: u64, bytes: u32);
     /// The outcome of a branch or jump.
@@ -282,6 +262,7 @@ pub(crate) trait Effects {
 // `#[inline]` so that `Core::run`, monomorphised in downstream crates,
 // can inline these into its hot loop.
 impl Effects for DynInst {
+    const ENABLED: bool = true;
     #[inline]
     fn mem(&mut self, addr: u64, bytes: u32) {
         self.mem.push((addr, bytes));
@@ -297,12 +278,39 @@ impl Effects for DynInst {
 }
 
 impl Effects for () {
+    const ENABLED: bool = false;
     #[inline]
     fn mem(&mut self, _addr: u64, _bytes: u32) {}
     #[inline]
     fn taken(&mut self, _taken: bool) {}
     #[inline]
     fn qz_latency(&mut self, _cycles: u64) {}
+}
+
+/// Binds `$T` to the [`Lane`] type of the runtime element size `$esize`
+/// and evaluates `$body`: the one dispatch from an instruction's
+/// element size to a lane kernel monomorphised for it.
+macro_rules! with_lane {
+    ($esize:expr, $T:ident => $body:expr) => {
+        match $esize {
+            ElemSize::B8 => {
+                type $T = u8;
+                $body
+            }
+            ElemSize::B16 => {
+                type $T = u16;
+                $body
+            }
+            ElemSize::B32 => {
+                type $T = u32;
+                $body
+            }
+            ElemSize::B64 => {
+                type $T = u64;
+                $body
+            }
+        }
+    };
 }
 
 /// Executes one instruction at `pc` against `state` — the ISA's
@@ -375,29 +383,14 @@ pub(crate) fn step(
         }
         Instruction::Halt => return Ok(None),
 
-        Instruction::Dup { vd, rn, esize } => {
-            let v = state.x(rn);
-            for i in 0..esize.lanes() {
-                state.set_v_elem(vd, i, esize, v);
-            }
-        }
-        Instruction::DupImm { vd, imm, esize } => {
-            for i in 0..esize.lanes() {
-                state.set_v_elem(vd, i, esize, imm as u64);
-            }
-        }
+        Instruction::Dup { vd, rn, esize } => dup(state, vd, state.x(rn), esize),
+        Instruction::DupImm { vd, imm, esize } => dup(state, vd, imm as u64, esize),
         Instruction::Index {
             vd,
             rn,
             step,
             esize,
-        } => {
-            let start = state.x(rn) as i64;
-            for i in 0..esize.lanes() {
-                let v = start.wrapping_add(step.wrapping_mul(i as i64));
-                state.set_v_elem(vd, i, esize, truncate(v, esize));
-            }
-        }
+        } => index(state, vd, state.x(rn) as i64, step, esize),
         Instruction::VAluVV {
             op,
             vd,
@@ -405,15 +398,7 @@ pub(crate) fn step(
             vm,
             pg,
             esize,
-        } => {
-            for i in 0..esize.lanes() {
-                if state.lane_active(pg, i, esize) {
-                    let a = state.v_elem_i64(vn, i, esize);
-                    let b = state.v_elem_i64(vm, i, esize);
-                    state.set_v_elem(vd, i, esize, vector_alu(op, a, b, esize));
-                }
-            }
-        }
+        } => vector_alu(state, op, vd, vn, Operand::Reg(vm), pg, esize),
         Instruction::VAluVI {
             op,
             vd,
@@ -421,14 +406,7 @@ pub(crate) fn step(
             imm,
             pg,
             esize,
-        } => {
-            for i in 0..esize.lanes() {
-                if state.lane_active(pg, i, esize) {
-                    let a = state.v_elem_i64(vn, i, esize);
-                    state.set_v_elem(vd, i, esize, vector_alu(op, a, imm, esize));
-                }
-            }
-        }
+        } => vector_alu(state, op, vd, vn, Operand::Imm(imm), pg, esize),
         Instruction::VCmpVV {
             cond,
             pd,
@@ -436,19 +414,7 @@ pub(crate) fn step(
             vm,
             pg,
             esize,
-        } => {
-            let mut p = 0u64;
-            for i in 0..esize.lanes() {
-                if state.lane_active(pg, i, esize) {
-                    let a = state.v_elem_i64(vn, i, esize);
-                    let b = state.v_elem_i64(vm, i, esize);
-                    if cond.eval(a, b) {
-                        p |= 1 << (i * esize.bytes());
-                    }
-                }
-            }
-            state.set_p(pd, p);
-        }
+        } => vector_cmp(state, cond, pd, vn, Operand::Reg(vm), pg, esize),
         Instruction::VCmpVI {
             cond,
             pd,
@@ -456,45 +422,17 @@ pub(crate) fn step(
             imm,
             pg,
             esize,
-        } => {
-            let mut p = 0u64;
-            for i in 0..esize.lanes() {
-                if state.lane_active(pg, i, esize) {
-                    let a = state.v_elem_i64(vn, i, esize);
-                    if cond.eval(a, imm) {
-                        p |= 1 << (i * esize.bytes());
-                    }
-                }
-            }
-            state.set_p(pd, p);
-        }
+        } => vector_cmp(state, cond, pd, vn, Operand::Imm(imm), pg, esize),
         Instruction::VSel {
             vd,
             pg,
             vn,
             vm,
             esize,
-        } => {
-            for i in 0..esize.lanes() {
-                let v = if state.lane_active(pg, i, esize) {
-                    state.v_elem(vn, i, esize)
-                } else {
-                    state.v_elem(vm, i, esize)
-                };
-                state.set_v_elem(vd, i, esize, v);
-            }
-        }
+        } => vector_sel(state, vd, pg, vn, vm, esize),
         Instruction::VLoad { vd, rn, pg, esize } => {
             let base = state.x(rn);
-            for i in 0..esize.lanes() {
-                let v = if state.lane_active(pg, i, esize) {
-                    let addr = base.wrapping_add((i * esize.bytes()) as u64);
-                    state.mem.read_le(addr, esize.bytes())
-                } else {
-                    0
-                };
-                state.set_v_elem(vd, i, esize, v);
-            }
+            vector_load(state, vd, base, pg, esize, esize.bytes());
             fx.mem(base, VLEN_BYTES as u32);
         }
         Instruction::VLoadN {
@@ -505,28 +443,12 @@ pub(crate) fn step(
             msize,
         } => {
             let base = state.x(rn);
-            for i in 0..esize.lanes() {
-                let v = if state.lane_active(pg, i, esize) {
-                    let addr = base.wrapping_add((i * msize.bytes()) as u64);
-                    state.mem.read_le(addr, msize.bytes())
-                } else {
-                    0
-                };
-                state.set_v_elem(vd, i, esize, v);
-            }
+            vector_load(state, vd, base, pg, esize, msize.bytes());
             fx.mem(base, (esize.lanes() * msize.bytes()) as u32);
         }
         Instruction::VStore { vs, rn, pg, esize } => {
             let base = state.x(rn);
-            for i in 0..esize.lanes() {
-                if state.lane_active(pg, i, esize) {
-                    let v = state.v_elem(vs, i, esize);
-                    let addr = base.wrapping_add((i * esize.bytes()) as u64);
-                    if state.mem.try_write_le(addr, v, esize.bytes()).is_err() {
-                        return Err(SimError::MemoryFault { addr, pc });
-                    }
-                }
-            }
+            vector_store(state, vs, base, pg, esize, pc)?;
             fx.mem(base, VLEN_BYTES as u32);
         }
         Instruction::VGather {
@@ -538,18 +460,14 @@ pub(crate) fn step(
             msize,
             scale,
         } => {
-            let base = state.x(rn);
-            for i in 0..esize.lanes() {
-                if state.lane_active(pg, i, esize) {
-                    let off = state.v_elem_i64(idx, i, esize);
-                    let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
-                    let v = state.mem.read_le(addr, msize.bytes());
-                    state.set_v_elem(vd, i, esize, v);
-                    fx.mem(addr, msize.bytes() as u32);
-                } else {
-                    state.set_v_elem(vd, i, esize, 0);
-                }
-            }
+            let at = Indexed {
+                base: state.x(rn),
+                scale: scale as i64,
+                bytes: msize.bytes(),
+            };
+            // Before `vd` is written: it may alias `idx`.
+            indexed_effects(state, idx, pg, esize, at, usize::MAX, fx);
+            gather(state, vd, idx, pg, esize, at);
         }
         Instruction::VScatter {
             vs,
@@ -560,21 +478,14 @@ pub(crate) fn step(
             msize,
             scale,
         } => {
-            let base = state.x(rn);
-            for i in 0..esize.lanes() {
-                if state.lane_active(pg, i, esize) {
-                    let off = state.v_elem_i64(idx, i, esize);
-                    let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
-                    if state
-                        .mem
-                        .try_write_le(addr, state.v_elem(vs, i, esize), msize.bytes())
-                        .is_err()
-                    {
-                        return Err(SimError::MemoryFault { addr, pc });
-                    }
-                    fx.mem(addr, msize.bytes() as u32);
-                }
-            }
+            let at = Indexed {
+                base: state.x(rn),
+                scale: scale as i64,
+                bytes: msize.bytes(),
+            };
+            let (written, outcome) = scatter(state, vs, idx, pg, esize, at, pc);
+            indexed_effects(state, idx, pg, esize, at, written, fx);
+            outcome?;
         }
         Instruction::VReduce {
             op,
@@ -583,24 +494,8 @@ pub(crate) fn step(
             pg,
             esize,
         } => {
-            let mut acc: Option<i64> = None;
-            for i in 0..esize.lanes() {
-                if state.lane_active(pg, i, esize) {
-                    let v = state.v_elem_i64(vn, i, esize);
-                    acc = Some(match (acc, op) {
-                        (None, _) => v,
-                        (Some(a), RedOp::Add) => a.wrapping_add(v),
-                        (Some(a), RedOp::Min) => a.min(v),
-                        (Some(a), RedOp::Max) => a.max(v),
-                    });
-                }
-            }
-            let empty = match op {
-                RedOp::Add => 0,
-                RedOp::Min => i64::MAX,
-                RedOp::Max => i64::MIN,
-            };
-            state.set_x(rd, acc.unwrap_or(empty) as u64);
+            let v = reduce(state, op, vn, pg, esize);
+            state.set_x(rd, v as u64);
         }
         Instruction::VExtract {
             rd,
@@ -631,35 +526,9 @@ pub(crate) fn step(
             vn,
             amount,
             esize,
-        } => {
-            // Stack scratch: at most VLEN_BYTES lanes (B8 elements),
-            // so a fixed array replaces the per-instruction Vec.
-            let lanes = esize.lanes();
-            let mut buf = [0u64; VLEN_BYTES];
-            let tmp = &mut buf[..lanes];
-            for (i, item) in tmp.iter_mut().enumerate() {
-                let src = i + amount as usize;
-                *item = if src < lanes {
-                    state.v_elem(vn, src, esize)
-                } else {
-                    0
-                };
-            }
-            for (i, &v) in tmp.iter().enumerate() {
-                state.set_v_elem(vd, i, esize, v);
-            }
-        }
+        } => slide_down(state, vd, vn, amount as usize, esize),
         Instruction::VSlide1Up { vd, vn, rn, esize } => {
-            let lanes = esize.lanes();
-            let mut buf = [0u64; VLEN_BYTES];
-            let tmp = &mut buf[..lanes];
-            tmp[0] = state.x(rn);
-            for (i, item) in tmp.iter_mut().enumerate().skip(1) {
-                *item = state.v_elem(vn, i - 1, esize);
-            }
-            for (i, &v) in tmp.iter().enumerate() {
-                state.set_v_elem(vd, i, esize, v);
-            }
+            slide1_up(state, vd, vn, state.x(rn), esize)
         }
 
         Instruction::PTrue { pd, esize } => {
@@ -712,11 +581,9 @@ pub(crate) fn step(
         }
         Instruction::QzLoad { vd, idx, sel, pg } => {
             let mask = state.mask64(pg);
-            let idxs = state.v_lanes64(idx);
+            let idxs = state.lanes::<u64>(idx);
             let (vals, lat) = state.qz.load(sel.index(), &idxs, &mask);
-            for (i, &v) in vals.iter().enumerate() {
-                state.set_v_elem(vd, i, ElemSize::B64, v);
-            }
+            state.set_lanes::<u64>(vd, &vals);
             fx.qz_latency(lat);
         }
         Instruction::QzMhm {
@@ -727,12 +594,10 @@ pub(crate) fn step(
             pg,
         } => {
             let mask = state.mask64(pg);
-            let i0 = state.v_lanes64(idx0);
-            let i1 = state.v_lanes64(idx1);
+            let i0 = state.lanes::<u64>(idx0);
+            let i1 = state.lanes::<u64>(idx1);
             let (vals, lat) = state.qz.mhm(op, &i0, &i1, &mask);
-            for (i, &v) in vals.iter().enumerate() {
-                state.set_v_elem(vd, i, ElemSize::B64, v);
-            }
+            state.set_lanes::<u64>(vd, &vals);
             fx.qz_latency(lat);
         }
         Instruction::QzMm {
@@ -744,25 +609,446 @@ pub(crate) fn step(
             pg,
         } => {
             let mask = state.mask64(pg);
-            let vv = state.v_lanes64(val);
-            let ii = state.v_lanes64(idx);
+            let vv = state.lanes::<u64>(val);
+            let ii = state.lanes::<u64>(idx);
             let (vals, lat) = state.qz.mm(op, sel.index(), &vv, &ii, &mask);
-            for (i, &v) in vals.iter().enumerate() {
-                state.set_v_elem(vd, i, ElemSize::B64, v);
-            }
+            state.set_lanes::<u64>(vd, &vals);
             fx.qz_latency(lat);
         }
         Instruction::QzCount { vd, vn, vm } => {
-            let a = state.v_lanes64(vn);
-            let b = state.v_lanes64(vm);
+            let a = state.lanes::<u64>(vn);
+            let b = state.lanes::<u64>(vm);
             let counts = qzcount_vector(&a, &b, state.qz.esize);
-            for (i, &c) in counts.iter().enumerate() {
-                state.set_v_elem(vd, i, ElemSize::B64, c);
-            }
+            state.set_lanes::<u64>(vd, &counts);
             fx.qz_latency(COUNT_ALU_LATENCY);
         }
     }
     Ok(Some(next_pc))
+}
+
+// Lane kernels of `step`. Each is an ordinary function over the
+// runtime element size, so it is compiled once however many drivers
+// inline `step`; its body is written once over the `Lane` type of that
+// size (`with_lane!`). Each reads every source register, and expands
+// its predicate to a lane mask, before it writes its destination, so a
+// destination that aliases a source sees the old value in every lane,
+// exactly as one lane at a time would. Operations on sub-64-bit
+// elements are computed on the sign-extended lanes and truncated back,
+// as the ISA defines them. Memory effects are reported by `step`.
+
+/// A register with `x`, truncated, in every lane.
+fn dup(state: &mut ArchState, vd: VReg, x: u64, esize: ElemSize) {
+    with_lane!(esize, T => {
+        let mut d = T::ZEROS;
+        d.as_mut().fill(T::wrap(x));
+        state.set_lanes::<T>(vd, &d);
+    })
+}
+
+/// `vd[i] = start + i * step`, truncated.
+fn index(state: &mut ArchState, vd: VReg, start: i64, step: i64, esize: ElemSize) {
+    with_lane!(esize, T => {
+        let mut d = T::ZEROS;
+        for (i, x) in d.as_mut().iter_mut().enumerate() {
+            *x = T::wrap(start.wrapping_add(step.wrapping_mul(i as i64)) as u64);
+        }
+        state.set_lanes::<T>(vd, &d);
+    })
+}
+
+/// The second operand of a vector ALU op or compare.
+#[derive(Clone, Copy)]
+enum Operand {
+    /// The lanes of a register, sign-extended.
+    Reg(VReg),
+    /// An immediate in every lane, not truncated to the element: `Smin`,
+    /// `Smax` and the compares see all 64 bits of it.
+    Imm(i64),
+}
+
+/// Evaluates `$body` with `$bi(i)` the second operand at lane `i` of
+/// element type `$T`, once specialised for a register operand and once
+/// for an immediate.
+macro_rules! with_operand {
+    ($state:expr, $b:expr, $T:ty, |$bi:ident| $body:expr) => {
+        match $b {
+            Operand::Reg(vm) => {
+                let lanes = $state.lanes::<$T>(vm);
+                let $bi = |i: usize| lanes.as_ref()[i].sext();
+                $body
+            }
+            Operand::Imm(imm) => {
+                let $bi = |_: usize| imm;
+                $body
+            }
+        }
+    };
+}
+
+/// `vd[i] = op(vn[i], b[i])` in every lane active under `pg`; inactive
+/// lanes keep `vd`.
+fn vector_alu(
+    state: &mut ArchState,
+    op: VAluOp,
+    vd: VReg,
+    vn: VReg,
+    b: Operand,
+    pg: PReg,
+    esize: ElemSize,
+) {
+    with_lane!(esize, T => {
+        let a = state.lanes::<T>(vn);
+        let m = state.lane_mask::<T>(pg);
+        let mut d = state.lanes::<T>(vd);
+        with_operand!(state, b, T, |b| alu_lanes::<T>(op, (&mut d, &a, &m), b));
+        state.set_lanes::<T>(vd, &d);
+    })
+}
+
+/// The lane loops of [`vector_alu`], one per operation: `(d, a, m)` are
+/// the destination, first operand and lane mask.
+#[inline(always)]
+fn alu_lanes<T: Lane>(
+    op: VAluOp,
+    (d, a, m): (&mut T::Lanes, &T::Lanes, &T::Lanes),
+    b: impl Fn(usize) -> i64,
+) {
+    let lanes = (d, a, m, &b);
+    // `Shr` is logical on the element: it shifts the zero-extended lane.
+    let zext = T::wrap(u64::MAX).zext();
+    match op {
+        VAluOp::Add => merge_lanes::<T>(lanes, i64::wrapping_add),
+        VAluOp::Sub => merge_lanes::<T>(lanes, i64::wrapping_sub),
+        VAluOp::Mul => merge_lanes::<T>(lanes, i64::wrapping_mul),
+        VAluOp::And => merge_lanes::<T>(lanes, |x, y| x & y),
+        VAluOp::Or => merge_lanes::<T>(lanes, |x, y| x | y),
+        VAluOp::Xor => merge_lanes::<T>(lanes, |x, y| x ^ y),
+        VAluOp::Smin => merge_lanes::<T>(lanes, i64::min),
+        VAluOp::Smax => merge_lanes::<T>(lanes, i64::max),
+        VAluOp::Shl => {
+            merge_lanes::<T>(lanes, |x, y| (x as u64).wrapping_shl(y as u32 & 63) as i64)
+        }
+        VAluOp::Shr => merge_lanes::<T>(lanes, |x, y| {
+            ((x as u64) & zext).wrapping_shr(y as u32 & 63) as i64
+        }),
+    }
+}
+
+/// One lane loop of [`alu_lanes`]: `d[i] = f(a[i], b(i))` where the mask
+/// is set, `d[i]` kept where it is clear.
+#[inline(always)]
+fn merge_lanes<T: Lane>(
+    (d, a, m, b): (&mut T::Lanes, &T::Lanes, &T::Lanes, &impl Fn(usize) -> i64),
+    f: impl Fn(i64, i64) -> i64,
+) {
+    for (i, x) in d.as_mut().iter_mut().enumerate() {
+        let r = T::wrap(f(a.as_ref()[i].sext(), b(i)) as u64);
+        let m = m.as_ref()[i];
+        *x = (r & m) | (*x & !m);
+    }
+}
+
+/// `pd` gets the lanes active under `pg` where `cond(vn[i], b[i])`
+/// holds.
+fn vector_cmp(
+    state: &mut ArchState,
+    cond: BranchCond,
+    pd: PReg,
+    vn: VReg,
+    b: Operand,
+    pg: PReg,
+    esize: ElemSize,
+) {
+    let bits = with_lane!(esize, T => {
+        let a = state.lanes::<T>(vn);
+        with_operand!(state, b, T, |b| cmp_lanes::<T>(cond, &a, b))
+    });
+    // Bits sit only at lane positions, so masking with the governing
+    // predicate keeps exactly the active lanes.
+    let active = state.p(pg);
+    state.set_p(pd, bits & active);
+}
+
+/// The lane loops of [`vector_cmp`], one per condition.
+#[inline(always)]
+fn cmp_lanes<T: Lane>(cond: BranchCond, a: &T::Lanes, b: impl Fn(usize) -> i64) -> u64 {
+    let lanes = (a, &b);
+    match cond {
+        BranchCond::Eq => cmp_bits::<T>(lanes, |x, y| x == y),
+        BranchCond::Ne => cmp_bits::<T>(lanes, |x, y| x != y),
+        BranchCond::Lt => cmp_bits::<T>(lanes, |x, y| x < y),
+        BranchCond::Le => cmp_bits::<T>(lanes, |x, y| x <= y),
+        BranchCond::Gt => cmp_bits::<T>(lanes, |x, y| x > y),
+        BranchCond::Ge => cmp_bits::<T>(lanes, |x, y| x >= y),
+    }
+}
+
+/// One lane loop of [`cmp_lanes`]: predicate bit `i * T::BYTES` is set
+/// where `f(a[i], b(i))`.
+#[inline(always)]
+fn cmp_bits<T: Lane>(
+    (a, b): (&T::Lanes, &impl Fn(usize) -> i64),
+    f: impl Fn(i64, i64) -> bool,
+) -> u64 {
+    let mut bits = 0u64;
+    for (i, &x) in a.as_ref().iter().enumerate() {
+        bits |= u64::from(f(x.sext(), b(i))) << (i * T::BYTES);
+    }
+    bits
+}
+
+/// `vd[i] = pg[i] ? vn[i] : vm[i]`.
+fn vector_sel(state: &mut ArchState, vd: VReg, pg: PReg, vn: VReg, vm: VReg, esize: ElemSize) {
+    with_lane!(esize, T => {
+        let (a, b) = (state.lanes::<T>(vn), state.lanes::<T>(vm));
+        let m = state.lane_mask::<T>(pg);
+        let mut d = T::ZEROS;
+        for (i, x) in d.as_mut().iter_mut().enumerate() {
+            let m = m.as_ref()[i];
+            *x = (a.as_ref()[i] & m) | (b.as_ref()[i] & !m);
+        }
+        state.set_lanes::<T>(vd, &d);
+    })
+}
+
+/// The sum, minimum or maximum of the lanes of `vn` active under `pg`,
+/// sign-extended; an empty predicate yields the operation's identity.
+fn reduce(state: &ArchState, op: RedOp, vn: VReg, pg: PReg, esize: ElemSize) -> i64 {
+    with_lane!(esize, T => {
+        let a = state.lanes::<T>(vn);
+        let m = state.lane_mask::<T>(pg);
+        let zero = T::wrap(0);
+        let active = a
+            .as_ref()
+            .iter()
+            .zip(m.as_ref())
+            .filter(|&(_, &m)| m != zero)
+            .map(|(&x, _)| x.sext());
+        match op {
+            RedOp::Add => active.fold(0, i64::wrapping_add),
+            RedOp::Min => active.fold(i64::MAX, i64::min),
+            RedOp::Max => active.fold(i64::MIN, i64::max),
+        }
+    })
+}
+
+/// `vd[i] = vn[i + amount]`, zero past the last lane.
+fn slide_down(state: &mut ArchState, vd: VReg, vn: VReg, amount: usize, esize: ElemSize) {
+    with_lane!(esize, T => {
+        let a = state.lanes::<T>(vn);
+        let mut d = T::ZEROS;
+        let src = a.as_ref().get(amount..).unwrap_or_default();
+        d.as_mut()[..src.len()].copy_from_slice(src);
+        state.set_lanes::<T>(vd, &d);
+    })
+}
+
+/// `vd[0] = x` (truncated), `vd[i] = vn[i - 1]` above it.
+fn slide1_up(state: &mut ArchState, vd: VReg, vn: VReg, x: u64, esize: ElemSize) {
+    with_lane!(esize, T => {
+        let a = state.lanes::<T>(vn);
+        let mut d = T::ZEROS;
+        let (first, rest) = d.as_mut().split_first_mut().expect("a register has lanes");
+        *first = T::wrap(x);
+        rest.copy_from_slice(&a.as_ref()[..rest.len()]);
+        state.set_lanes::<T>(vd, &d);
+    })
+}
+
+/// Contiguous load: lane `i` of `vd` gets the `bytes` bytes at
+/// `base + i * bytes`, zero-extended and truncated to the element;
+/// inactive lanes read zero. A span inside one page costs one page
+/// lookup; one that crosses a page boundary is read lane by lane.
+fn vector_load(
+    state: &mut ArchState,
+    vd: VReg,
+    base: u64,
+    pg: PReg,
+    esize: ElemSize,
+    bytes: usize,
+) {
+    with_lane!(esize, T => {
+        let m = state.lane_mask::<T>(pg);
+        let mut d = T::ZEROS;
+        let off = base as usize & (PAGE_SIZE - 1);
+        if off + d.as_ref().len() * bytes <= PAGE_SIZE {
+            if let Some(page) = state.mem.page(base) {
+                let src = page[off..].chunks_exact(bytes);
+                for ((x, b), &m) in d.as_mut().iter_mut().zip(src).zip(m.as_ref()) {
+                    *x = T::wrap(le_word(b, bytes)) & m;
+                }
+            }
+        } else {
+            let zero = T::wrap(0);
+            for (i, (x, &m)) in d.as_mut().iter_mut().zip(m.as_ref()).enumerate() {
+                if m != zero {
+                    let addr = base.wrapping_add((i * bytes) as u64);
+                    *x = T::wrap(state.mem.read_le(addr, bytes));
+                }
+            }
+        }
+        state.set_lanes::<T>(vd, &d);
+    })
+}
+
+/// Contiguous store of the lanes of `vs` active under `pg` to
+/// `base + i * esize.bytes()`. A span inside one page costs one page
+/// lookup (allocated, if need be, at the first active lane — where a
+/// page budget fault is reported); one that crosses a page boundary is
+/// written lane by lane. A store with no active lane touches no page.
+fn vector_store(
+    state: &mut ArchState,
+    vs: VReg,
+    base: u64,
+    pg: PReg,
+    esize: ElemSize,
+    pc: usize,
+) -> Result<(), SimError> {
+    with_lane!(esize, T => {
+        let v = state.lanes::<T>(vs);
+        let m = state.lane_mask::<T>(pg);
+        let zero = T::wrap(0);
+        let Some(first) = m.as_ref().iter().position(|&m| m != zero) else {
+            return Ok(());
+        };
+        let off = base as usize & (PAGE_SIZE - 1);
+        if off + VLEN_BYTES <= PAGE_SIZE {
+            let Ok(page) = state.mem.page_for_write(base) else {
+                let addr = base.wrapping_add((first * T::BYTES) as u64);
+                return Err(SimError::MemoryFault { addr, pc });
+            };
+            let dst = page[off..off + VLEN_BYTES].chunks_exact_mut(T::BYTES);
+            for ((b, &x), &m) in dst.zip(v.as_ref()).zip(m.as_ref()) {
+                ((x & m) | (T::read(b) & !m)).write(b);
+            }
+        } else {
+            for (i, (&x, &m)) in v.as_ref().iter().zip(m.as_ref()).enumerate() {
+                let addr = base.wrapping_add((i * T::BYTES) as u64);
+                if m != zero && state.mem.try_write_le(addr, x.zext(), T::BYTES).is_err() {
+                    return Err(SimError::MemoryFault { addr, pc });
+                }
+            }
+        }
+        Ok(())
+    })
+}
+
+/// The addressing of a gather or scatter: lane `i` touches `bytes`
+/// bytes at `base + idx[i] * scale`.
+#[derive(Clone, Copy)]
+struct Indexed {
+    base: u64,
+    scale: i64,
+    bytes: usize,
+}
+
+impl Indexed {
+    fn addr(self, idx: i64) -> u64 {
+        self.base.wrapping_add_signed(idx.wrapping_mul(self.scale))
+    }
+}
+
+/// Reports the memory effect of each of the first `n` lanes active
+/// under `pg` of an indexed access, in lane order; nothing at all to a
+/// sink that drops them.
+#[inline(always)]
+fn indexed_effects<E: Effects>(
+    state: &ArchState,
+    idx: VReg,
+    pg: PReg,
+    esize: ElemSize,
+    at: Indexed,
+    n: usize,
+    fx: &mut E,
+) {
+    if !E::ENABLED {
+        return;
+    }
+    let active = (0..esize.lanes()).filter(|&i| state.lane_active(pg, i, esize));
+    for i in active.take(n) {
+        fx.mem(at.addr(state.v_elem_i64(idx, i, esize)), at.bytes as u32);
+    }
+}
+
+/// The page holding every access in `addrs` (`bytes` bytes each), or
+/// `None` when they span pages, one straddles a boundary, or there are
+/// none.
+fn one_page(mut addrs: impl Iterator<Item = u64>, bytes: usize) -> Option<u64> {
+    let first = addrs.next()?;
+    let page = first & !(PAGE_SIZE as u64 - 1);
+    let inside = |a: u64| {
+        a & !(PAGE_SIZE as u64 - 1) == page && (a as usize & (PAGE_SIZE - 1)) + bytes <= PAGE_SIZE
+    };
+    (inside(first) && addrs.all(inside)).then_some(page)
+}
+
+/// Gather: each lane of `vd` active under `pg` reads its [`Indexed`]
+/// address; inactive lanes read zero. When every access lies inside one
+/// page it costs one page lookup.
+fn gather(state: &mut ArchState, vd: VReg, idx: VReg, pg: PReg, esize: ElemSize, at: Indexed) {
+    with_lane!(esize, T => {
+        let ix = state.lanes::<T>(idx);
+        let m = state.lane_mask::<T>(pg);
+        let zero = T::wrap(0);
+        let active = || (0..m.as_ref().len()).filter(|&i| m.as_ref()[i] != zero);
+        let addr = |i: usize| at.addr(ix.as_ref()[i].sext());
+        let mut d = T::ZEROS;
+        if let Some(page) = one_page(active().map(addr), at.bytes) {
+            if let Some(page) = state.mem.page(page) {
+                for i in active() {
+                    let off = addr(i) as usize & (PAGE_SIZE - 1);
+                    d.as_mut()[i] = T::wrap(le_word(&page[off..], at.bytes));
+                }
+            }
+        } else {
+            for i in active() {
+                d.as_mut()[i] = T::wrap(state.mem.read_le(addr(i), at.bytes));
+            }
+        }
+        state.set_lanes::<T>(vd, &d);
+    })
+}
+
+/// Scatter: each lane of `vs` active under `pg` is written, zero-extended
+/// to `at.bytes`, to its [`Indexed`] address in lane order (a later lane
+/// wins an overlap). When every access lies inside one page it costs one
+/// page lookup, allocated at the first active lane — where a page budget
+/// fault is reported. Returns how many active lanes were written, with
+/// the outcome.
+fn scatter(
+    state: &mut ArchState,
+    vs: VReg,
+    idx: VReg,
+    pg: PReg,
+    esize: ElemSize,
+    at: Indexed,
+    pc: usize,
+) -> (usize, Result<(), SimError>) {
+    with_lane!(esize, T => {
+        let (v, ix) = (state.lanes::<T>(vs), state.lanes::<T>(idx));
+        let m = state.lane_mask::<T>(pg);
+        let zero = T::wrap(0);
+        let active = || (0..m.as_ref().len()).filter(|&i| m.as_ref()[i] != zero);
+        let addr = |i: usize| at.addr(ix.as_ref()[i].sext());
+        if let Some(page) = one_page(active().map(addr), at.bytes) {
+            let Ok(page) = state.mem.page_for_write(page) else {
+                let first = active().next().map_or(page, addr);
+                return (0, Err(SimError::MemoryFault { addr: first, pc }));
+            };
+            for i in active() {
+                let off = addr(i) as usize & (PAGE_SIZE - 1);
+                set_le_word(&mut page[off..], v.as_ref()[i].zext(), at.bytes);
+            }
+        } else {
+            for (n, i) in active().enumerate() {
+                let a = addr(i);
+                if state.mem.try_write_le(a, v.as_ref()[i].zext(), at.bytes).is_err() {
+                    return (n, Err(SimError::MemoryFault { addr: a, pc }));
+                }
+            }
+        }
+        (usize::MAX, Ok(()))
+    })
 }
 
 /// One simulated core: architectural state plus the out-of-order timing
@@ -982,8 +1268,7 @@ impl<P: Probe> Core<P> {
             compiled,
             ..
         } = self;
-        let pre = decode.get(program);
-        let cp = compiled.get(program, pre);
+        let cp = compiled.get(program, || decode.get(program));
         crate::functional::run_compiled(&cp, state, *budget)
     }
 }
@@ -1432,18 +1717,19 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    //! Differential testing: random straight-line programs mixing scalar
-    //! and predicated vector ops are executed by the simulator and by a
-    //! direct Rust evaluator written lane by lane from the ISA
-    //! definition (it shares no helper with [`step`]); the final
-    //! register files must agree exactly. Case generation is seeded
-    //! (in-tree PRNG), so failures reproduce exactly.
+    //! Differential testing: random straight-line programs mixing scalar,
+    //! predicated vector and vector memory ops are executed by the
+    //! simulator and by a direct Rust evaluator written lane by lane and
+    //! byte by byte from the ISA definition (it shares no helper with
+    //! [`step`]); the final register files, memory bytes, resident pages
+    //! and the fault, if any, must agree exactly. Case generation is
+    //! seeded (in-tree PRNG), so failures reproduce exactly.
 
     use super::*;
     use crate::state::VValue;
     use quetzal_genomics::rng::SplitMix64;
-    use quetzal_isa::{BranchCond, ProgramBuilder, SAluOp, XReg};
-    use std::collections::BTreeSet;
+    use quetzal_isa::{BranchCond, MemSize, ProgramBuilder, SAluOp, XReg};
+    use std::collections::{BTreeSet, HashMap};
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -1459,8 +1745,33 @@ mod proptests {
         VAluVV(VAluOp, ElemSize, u8, u8, u8, u8),
         VAluVI(VAluOp, ElemSize, u8, u8, i64, u8),
         VCmpVV(BranchCond, ElemSize, u8, u8, u8, u8),
+        VCmpVI(BranchCond, ElemSize, u8, u8, i64, u8),
         VSel(ElemSize, u8, u8, u8, u8),
         VReduce(RedOp, ElemSize, u8, u8, u8),
+        /// `vd = dup(x[rn])`.
+        Dup(ElemSize, u8, u8),
+        DupImm(ElemSize, u8, i64),
+        /// `vd[i] = x[rn] + i * step`.
+        Index(ElemSize, u8, u8, i64),
+        /// `vd, vn, amount`.
+        VSlideDown(ElemSize, u8, u8, u8),
+        /// `vd, vn, rn`.
+        VSlide1Up(ElemSize, u8, u8, u8),
+        PTrue(ElemSize, u8),
+        /// `pd = whilelt(n)`, with `n` staged in a scratch register.
+        PWhileLt(ElemSize, u8, i64),
+        /// `rd, pn`.
+        PCount(ElemSize, u8, u8),
+        /// Contiguous load `vd, base, pg`; with a memory size it is the
+        /// widening `vload_n`, without one the plain `vload`.
+        VLoad(ElemSize, Option<MemSize>, u8, u64, u8),
+        /// Contiguous store `vs, base, pg`.
+        VStore(ElemSize, u8, u64, u8),
+        /// `vgather vd, [base + idx * scale], pg`, with the index
+        /// register's contents staged from the words given.
+        VGather(ElemSize, MemSize, u8, u64, [u64; LANES_64], u8, u8),
+        /// `vscatter vs, [base + idx * scale], pg`, staged likewise.
+        VScatter(ElemSize, MemSize, u8, u64, [u64; LANES_64], u8, u8),
     }
 
     const ALU_OPS: [SAluOp; 13] = [
@@ -1494,6 +1805,8 @@ mod proptests {
 
     const ESIZES: [ElemSize; 4] = [ElemSize::B8, ElemSize::B16, ElemSize::B32, ElemSize::B64];
 
+    const MSIZES: [MemSize; 4] = [MemSize::B1, MemSize::B2, MemSize::B4, MemSize::B8];
+
     const CONDS: [BranchCond; 6] = [
         BranchCond::Eq,
         BranchCond::Ne,
@@ -1518,46 +1831,106 @@ mod proptests {
         0x3F3F_3F3F_3F3F_3F3F,
     ];
 
+    /// Immediates just inside and just outside each element width's
+    /// signed and unsigned range: an immediate is compared (and
+    /// broadcast) without first being truncated to the element.
+    const EDGE_IMMS: [i64; 14] = [
+        0,
+        1,
+        -1,
+        127,
+        128,
+        -128,
+        -129,
+        255,
+        32_767,
+        32_768,
+        -32_769,
+        1 << 31,
+        i64::MIN,
+        i64::MAX,
+    ];
+
     /// How many vector and predicate registers the random ops use (and
-    /// the oracle compares). `V_SCRATCH`, `P_ALL` and `X_STAGE` only
-    /// stage vectors and predicates and are not compared.
+    /// the oracle compares). `V_SCRATCH`, `V_INDEX`, `P_ALL`, `X_STAGE`
+    /// and `X_BASE` only stage operands and are not compared.
     const V_RANDOM: u64 = 6;
     const P_RANDOM: u64 = 6;
     const V_SCRATCH: u8 = 31;
+    const V_INDEX: u8 = 30;
     const P_ALL: u8 = 15;
     const X_STAGE: u8 = 26;
+    const X_BASE: u8 = 27;
+
+    /// The simulated page size, restated for the oracle.
+    const PAGE: u64 = 4096;
+    /// Vector memory ops work in the [`MEM_PAGES`] pages from here.
+    const MEM_BASE: u64 = 0x10_0000;
+    const MEM_PAGES: u64 = 3;
+
+    fn random_esize(rng: &mut SplitMix64) -> ElemSize {
+        *rng.pick(&ESIZES)
+    }
+
+    fn random_word(rng: &mut SplitMix64) -> u64 {
+        if rng.below(2) == 0 {
+            rng.next_u64()
+        } else {
+            *rng.pick(&EDGE_WORDS)
+        }
+    }
+
+    fn random_imm(rng: &mut SplitMix64) -> i64 {
+        match rng.below(3) {
+            0 => rng.next_u64() as i64,
+            1 => *rng.pick(&EDGE_IMMS),
+            _ => rng.i64_in(-70, 70),
+        }
+    }
+
+    /// A base address in the vector memory region, biased to the start
+    /// and the end of a page so that spans straddle boundaries often.
+    fn random_base(rng: &mut SplitMix64) -> u64 {
+        let page = MEM_BASE + PAGE * rng.below(MEM_PAGES);
+        match rng.below(4) {
+            0 => page + rng.below(PAGE),
+            1 => page + PAGE - 1 - rng.below(80),
+            2 => page + PAGE - 1 - rng.below(16),
+            _ => page + rng.below(80),
+        }
+    }
+
+    /// The staged index register of a gather or scatter: per-lane
+    /// offsets at `esize`, from in-order lanes (a contiguous access) to
+    /// wild 64-bit values that land anywhere in the address space.
+    fn random_offsets(rng: &mut SplitMix64, esize: ElemSize) -> [u64; LANES_64] {
+        let w = esize.bytes();
+        let mode = rng.below(8);
+        let mut v = [0u8; VLEN_BYTES];
+        for i in 0..VLEN_BYTES / w {
+            let off = match mode {
+                0..=2 => i as u64,
+                3 | 4 => rng.i64_in(-8, 8) as u64,
+                5 | 6 => rng.i64_in(-300, 300) as u64,
+                _ => rng.next_u64(),
+            };
+            set_lane(&mut v, i, w, off);
+        }
+        std::array::from_fn(|i| lane(&v, i, 8))
+    }
 
     fn random_op(rng: &mut SplitMix64) -> Op {
         let v = |rng: &mut SplitMix64| rng.below(V_RANDOM) as u8;
         let p = |rng: &mut SplitMix64| rng.below(P_RANDOM) as u8;
-        match rng.below(12) {
-            0 => Op::MovImm(rng.below(24) as u8, rng.next_u64() as i64),
-            1 => Op::AluRR(
-                *rng.pick(&ALU_OPS),
-                rng.below(24) as u8,
-                rng.below(24) as u8,
-                rng.below(24) as u8,
-            ),
-            2 => Op::AluRI(
-                *rng.pick(&ALU_OPS),
-                rng.below(24) as u8,
-                rng.below(24) as u8,
-                rng.i64_in(-1000, 1000),
-            ),
-            3 => Op::Store(rng.below(24) as u8, 0x4000 + 8 * rng.below(64)),
-            4 => Op::Load(rng.below(24) as u8, 0x4000 + 8 * rng.below(64)),
-            5 => {
-                let mut words = [0u64; LANES_64];
-                for w in &mut words {
-                    *w = if rng.below(2) == 0 {
-                        rng.next_u64()
-                    } else {
-                        *rng.pick(&EDGE_WORDS)
-                    };
-                }
-                Op::VSet(v(rng), words)
-            }
-            6 => {
+        let x = |rng: &mut SplitMix64| rng.below(24) as u8;
+        match rng.below(26) {
+            0 => Op::MovImm(x(rng), rng.next_u64() as i64),
+            1 => Op::AluRR(*rng.pick(&ALU_OPS), x(rng), x(rng), x(rng)),
+            2 => Op::AluRI(*rng.pick(&ALU_OPS), x(rng), x(rng), rng.i64_in(-1000, 1000)),
+            3 => Op::Store(x(rng), 0x4000 + 8 * rng.below(64)),
+            4 => Op::Load(x(rng), 0x4000 + 8 * rng.below(64)),
+            5 | 6 => Op::VSet(v(rng), std::array::from_fn(|_| random_word(rng))),
+            7 | 8 => {
                 // Empty and full predicates are as likely as sparse and
                 // dense random ones, so empty reductions come up often.
                 let bits = match rng.below(4) {
@@ -1568,15 +1941,15 @@ mod proptests {
                 };
                 Op::PSet(p(rng), bits)
             }
-            7 => Op::VAluVV(
+            9 => Op::VAluVV(
                 *rng.pick(&VALU_OPS),
-                *rng.pick(&ESIZES),
+                random_esize(rng),
                 v(rng),
                 v(rng),
                 v(rng),
                 p(rng),
             ),
-            8 => {
+            10 => {
                 let imm = if rng.below(4) == 0 {
                     rng.next_u64() as i64
                 } else {
@@ -1584,29 +1957,94 @@ mod proptests {
                 };
                 Op::VAluVI(
                     *rng.pick(&VALU_OPS),
-                    *rng.pick(&ESIZES),
+                    random_esize(rng),
                     v(rng),
                     v(rng),
                     imm,
                     p(rng),
                 )
             }
-            9 => Op::VCmpVV(
+            11 => Op::VCmpVV(
                 *rng.pick(&CONDS),
-                *rng.pick(&ESIZES),
+                random_esize(rng),
                 p(rng),
                 v(rng),
                 v(rng),
                 p(rng),
             ),
-            10 => Op::VSel(*rng.pick(&ESIZES), v(rng), p(rng), v(rng), v(rng)),
-            _ => Op::VReduce(
+            12 => Op::VCmpVI(
+                *rng.pick(&CONDS),
+                random_esize(rng),
+                p(rng),
+                v(rng),
+                random_imm(rng),
+                p(rng),
+            ),
+            13 => Op::VSel(random_esize(rng), v(rng), p(rng), v(rng), v(rng)),
+            14 => Op::VReduce(
                 *rng.pick(&RED_OPS),
-                *rng.pick(&ESIZES),
-                rng.below(24) as u8,
+                random_esize(rng),
+                x(rng),
                 v(rng),
                 p(rng),
             ),
+            15 => match rng.below(3) {
+                0 => Op::Dup(random_esize(rng), v(rng), x(rng)),
+                1 => Op::DupImm(random_esize(rng), v(rng), random_imm(rng)),
+                _ => Op::Index(random_esize(rng), v(rng), x(rng), random_imm(rng)),
+            },
+            16 => {
+                let e = random_esize(rng);
+                // Amounts past the last lane, up to the encoding's limit.
+                let amount = if rng.below(4) == 0 {
+                    rng.below(256) as u8
+                } else {
+                    rng.below(e.lanes() as u64 + 2) as u8
+                };
+                Op::VSlideDown(e, v(rng), v(rng), amount)
+            }
+            17 => Op::VSlide1Up(random_esize(rng), v(rng), v(rng), x(rng)),
+            18 => match rng.below(3) {
+                0 => Op::PTrue(random_esize(rng), p(rng)),
+                1 => {
+                    let n = if rng.below(4) == 0 {
+                        *rng.pick(&EDGE_IMMS)
+                    } else {
+                        rng.i64_in(-4, 70)
+                    };
+                    Op::PWhileLt(random_esize(rng), p(rng), n)
+                }
+                _ => Op::PCount(random_esize(rng), x(rng), p(rng)),
+            },
+            19 | 20 => {
+                let m = (rng.below(2) == 0).then(|| *rng.pick(&MSIZES));
+                Op::VLoad(random_esize(rng), m, v(rng), random_base(rng), p(rng))
+            }
+            21 | 22 => Op::VStore(random_esize(rng), v(rng), random_base(rng), p(rng)),
+            23 | 24 => {
+                let e = random_esize(rng);
+                Op::VGather(
+                    e,
+                    *rng.pick(&MSIZES),
+                    v(rng),
+                    random_base(rng),
+                    random_offsets(rng, e),
+                    *rng.pick(&[1, 2, 4, 8]),
+                    p(rng),
+                )
+            }
+            _ => {
+                let e = random_esize(rng);
+                Op::VScatter(
+                    e,
+                    *rng.pick(&MSIZES),
+                    v(rng),
+                    random_base(rng),
+                    random_offsets(rng, e),
+                    *rng.pick(&[1, 2, 4, 8]),
+                    p(rng),
+                )
+            }
         }
     }
 
@@ -1653,6 +2091,11 @@ mod proptests {
         p & (1 << (i * n)) != 0
     }
 
+    /// The predicate with the first `k` elements at `n`-byte width active.
+    fn first_lanes(k: usize, n: usize) -> u64 {
+        (0..k).fold(0, |bits, i| bits | 1 << (i * n))
+    }
+
     /// Lane `i` (`n` bytes wide) of a vector ALU op on `vn` and the
     /// signed second operand `b`; the caller's lane write wraps it.
     fn oracle_valu(op: VAluOp, vn: &VValue, i: usize, n: usize, b: i64) -> u64 {
@@ -1682,6 +2125,49 @@ mod proptests {
         }
     }
 
+    /// The oracle's memory: every byte written so far (the rest read
+    /// zero) and the pages those writes made resident, under a budget.
+    struct OracleMem {
+        bytes: HashMap<u64, u8>,
+        pages: BTreeSet<u64>,
+        budget: usize,
+    }
+
+    impl OracleMem {
+        /// `n` bytes at `addr`, little-endian, zero-extended; addresses
+        /// wrap at the top of the 64-bit space.
+        fn read(&self, addr: u64, n: usize) -> u64 {
+            (0..n).rev().fold(0, |v, k| {
+                let b = self.bytes.get(&addr.wrapping_add(k as u64));
+                (v << 8) | u64::from(b.copied().unwrap_or(0))
+            })
+        }
+
+        /// Writes the low `n` bytes of `v` at `addr`, byte by byte. The
+        /// first byte whose page is not resident when the budget is
+        /// spent faults the whole access at `addr`; bytes before it
+        /// stay written.
+        fn write(&mut self, addr: u64, v: u64, n: usize) -> Result<(), u64> {
+            for k in 0..n {
+                let a = addr.wrapping_add(k as u64);
+                if !self.pages.contains(&(a / PAGE)) {
+                    if self.pages.len() >= self.budget {
+                        return Err(addr);
+                    }
+                    self.pages.insert(a / PAGE);
+                }
+                self.bytes.insert(a, (v >> (8 * k)) as u8);
+            }
+            Ok(())
+        }
+    }
+
+    /// Whether the `n`-byte accesses at `addrs` all lie inside one page.
+    fn one_page(addrs: &[u64], n: usize) -> bool {
+        let inside = |a: u64| a / PAGE == addrs[0] / PAGE && a % PAGE + n as u64 <= PAGE;
+        !addrs.is_empty() && addrs.iter().all(|&a| inside(a))
+    }
+
     fn vreg(r: u8) -> VReg {
         VReg::new(r)
     }
@@ -1690,37 +2176,40 @@ mod proptests {
         PReg::new(r)
     }
 
+    fn xreg(r: u8) -> XReg {
+        XReg::new(r)
+    }
+
     fn emit_vset(b: &mut ProgramBuilder, v: u8, words: &[u64; LANES_64]) {
         for (i, &w) in words.iter().enumerate() {
-            b.mov_imm(XReg::new(X_STAGE), w as i64);
-            b.vinsert(vreg(v), XReg::new(X_STAGE), i as u8, ElemSize::B64);
+            b.mov_imm(xreg(X_STAGE), w as i64);
+            b.vinsert(vreg(v), xreg(X_STAGE), i as u8, ElemSize::B64);
         }
     }
 
-    /// Runs `ops` on the simulator and on the oracle, asserts that every
-    /// compared register and memory word agrees, and returns the labels
-    /// of the vector behaviours the case exercised.
-    fn check_program(case: usize, ops: &[Op]) -> BTreeSet<String> {
-        // Build the simulated program.
+    /// Builds `ops` as one program and returns it with the pc of each
+    /// op's last instruction (the one that can fault).
+    fn build(ops: &[Op]) -> (Program, Vec<usize>) {
         let mut b = ProgramBuilder::new();
+        let mut pcs = Vec::with_capacity(ops.len());
         for op in ops {
             match *op {
                 Op::MovImm(r, v) => {
-                    b.mov_imm(XReg::new(r), v);
+                    b.mov_imm(xreg(r), v);
                 }
                 Op::AluRR(o, d, x, y) => {
-                    b.alu_rr(o, XReg::new(d), XReg::new(x), XReg::new(y));
+                    b.alu_rr(o, xreg(d), xreg(x), xreg(y));
                 }
                 Op::AluRI(o, d, x, v) => {
-                    b.alu_ri(o, XReg::new(d), XReg::new(x), v);
+                    b.alu_ri(o, xreg(d), xreg(x), v);
                 }
                 Op::Store(r, addr) => {
-                    b.mov_imm(XReg::new(25), addr as i64);
-                    b.store(XReg::new(r), XReg::new(25), 0, quetzal_isa::MemSize::B8);
+                    b.mov_imm(xreg(25), addr as i64);
+                    b.store(xreg(r), xreg(25), 0, MemSize::B8);
                 }
                 Op::Load(r, addr) => {
-                    b.mov_imm(XReg::new(25), addr as i64);
-                    b.load(XReg::new(r), XReg::new(25), 0, quetzal_isa::MemSize::B8);
+                    b.mov_imm(xreg(25), addr as i64);
+                    b.load(xreg(r), xreg(25), 0, MemSize::B8);
                 }
                 Op::VSet(v, ref words) => emit_vset(&mut b, v, words),
                 Op::PSet(p, bits) => {
@@ -1752,25 +2241,129 @@ mod proptests {
                 Op::VCmpVV(c, e, d, n, m, g) => {
                     b.vcmp_vv(c, preg(d), vreg(n), vreg(m), preg(g), e);
                 }
+                Op::VCmpVI(c, e, d, n, imm, g) => {
+                    b.vcmp_vi(c, preg(d), vreg(n), imm, preg(g), e);
+                }
                 Op::VSel(e, d, g, n, m) => {
                     b.vsel(vreg(d), preg(g), vreg(n), vreg(m), e);
                 }
                 Op::VReduce(o, e, d, n, g) => {
-                    b.vreduce(o, XReg::new(d), vreg(n), preg(g), e);
+                    b.vreduce(o, xreg(d), vreg(n), preg(g), e);
+                }
+                Op::Dup(e, d, n) => {
+                    b.dup(vreg(d), xreg(n), e);
+                }
+                Op::DupImm(e, d, imm) => {
+                    b.dup_imm(vreg(d), imm, e);
+                }
+                Op::Index(e, d, n, step) => {
+                    b.index(vreg(d), xreg(n), step, e);
+                }
+                Op::VSlideDown(e, d, n, amount) => {
+                    b.vslidedown(vreg(d), vreg(n), amount, e);
+                }
+                Op::VSlide1Up(e, d, n, r) => {
+                    b.vslide1up(vreg(d), vreg(n), xreg(r), e);
+                }
+                Op::PTrue(e, d) => {
+                    b.ptrue(preg(d), e);
+                }
+                Op::PWhileLt(e, d, n) => {
+                    b.mov_imm(xreg(X_STAGE), n);
+                    b.pwhilelt(preg(d), xreg(X_STAGE), e);
+                }
+                Op::PCount(e, d, n) => {
+                    b.pcount(xreg(d), preg(n), e);
+                }
+                Op::VLoad(e, m, d, base, g) => {
+                    b.mov_imm(xreg(X_BASE), base as i64);
+                    match m {
+                        Some(m) => b.vload_n(vreg(d), xreg(X_BASE), preg(g), e, m),
+                        None => b.vload(vreg(d), xreg(X_BASE), preg(g), e),
+                    };
+                }
+                Op::VStore(e, s, base, g) => {
+                    b.mov_imm(xreg(X_BASE), base as i64);
+                    b.vstore(vreg(s), xreg(X_BASE), preg(g), e);
+                }
+                Op::VGather(e, m, d, base, ref idx, scale, g) => {
+                    emit_vset(&mut b, V_INDEX, idx);
+                    b.mov_imm(xreg(X_BASE), base as i64);
+                    b.vgather(vreg(d), xreg(X_BASE), vreg(V_INDEX), preg(g), e, m, scale);
+                }
+                Op::VScatter(e, m, s, base, ref idx, scale, g) => {
+                    emit_vset(&mut b, V_INDEX, idx);
+                    b.mov_imm(xreg(X_BASE), base as i64);
+                    b.vscatter(vreg(s), xreg(X_BASE), vreg(V_INDEX), preg(g), e, m, scale);
+                }
+            }
+            pcs.push(b.here() - 1);
+        }
+        b.halt();
+        (b.build().unwrap(), pcs)
+    }
+
+    /// The labels of the memory behaviours a vector access exercised:
+    /// its kind and element size, whether its accesses stay inside one
+    /// page or straddle, and whether its predicate is partial or empty.
+    fn mem_labels(kind: &str, e: ElemSize, addrs: &[u64], n: usize, lanes: usize) -> Vec<String> {
+        let mut out = vec![format!("{kind} {e:?}")];
+        if addrs.is_empty() {
+            out.push(format!("{kind} empty"));
+        } else {
+            let shape = if one_page(addrs, n) {
+                "one page"
+            } else {
+                "straddle"
+            };
+            out.push(format!("{kind} {shape}"));
+            if addrs.len() < lanes {
+                out.push(format!("{kind} partial"));
+            }
+        }
+        out
+    }
+
+    /// Runs `ops` on the simulator and on the oracle; asserts that the
+    /// outcome (success, or the fault with its address and pc) and
+    /// every compared register, memory byte and the resident page count
+    /// agree; returns the labels of the behaviours the case exercised.
+    /// With a `page_budget` the case starts from empty memory under that
+    /// resident-page budget, so stores and scatters fault; without one
+    /// the vector memory region starts filled with seeded random bytes,
+    /// so loads and gathers read data.
+    fn check_program(case: usize, ops: &[Op], page_budget: Option<usize>) -> BTreeSet<String> {
+        let (program, pcs) = build(ops);
+        let mut core = Core::new(CoreConfig::a64fx_like());
+        let mut mem = OracleMem {
+            bytes: HashMap::new(),
+            pages: BTreeSet::new(),
+            budget: page_budget.unwrap_or(crate::state::DEFAULT_PAGE_BUDGET),
+        };
+        match page_budget {
+            Some(pages) => core.state_mut().mem.set_page_budget(pages),
+            None => {
+                let mut rng = SplitMix64::new(case as u64);
+                let fill: Vec<u8> = (0..MEM_PAGES * PAGE)
+                    .map(|_| rng.next_u64() as u8)
+                    .collect();
+                core.state_mut().mem.write_bytes(MEM_BASE, &fill);
+                for (addr, &b) in (MEM_BASE..).zip(&fill) {
+                    mem.bytes.insert(addr, b);
+                    mem.pages.insert(addr / PAGE);
                 }
             }
         }
-        b.halt();
-        let mut core = Core::new(CoreConfig::a64fx_like());
-        core.run(&b.build().unwrap()).unwrap();
+        let got = core.run(&program).map(|_| ());
 
         // Evaluate with the direct oracle.
         let mut regs = [0u64; 26];
         let mut vregs = [[0u8; VLEN_BYTES]; V_RANDOM as usize];
         let mut pregs = [0u64; P_RANDOM as usize];
-        let mut mem = std::collections::HashMap::<u64, u64>::new();
         let mut seen = BTreeSet::new();
-        for op in ops {
+        let mut want = Ok(());
+        for (k, op) in ops.iter().enumerate() {
+            let fault = |addr| SimError::MemoryFault { addr, pc: pcs[k] };
             match *op {
                 Op::MovImm(r, v) => regs[r as usize] = v as u64,
                 Op::AluRR(o, d, x, y) => {
@@ -1781,11 +2374,15 @@ mod proptests {
                 }
                 Op::Store(r, addr) => {
                     regs[25] = addr;
-                    mem.insert(addr, regs[r as usize]);
+                    if let Err(a) = mem.write(addr, regs[r as usize], 8) {
+                        seen.insert("store fault".to_string());
+                        want = Err(fault(a));
+                        break;
+                    }
                 }
                 Op::Load(r, addr) => {
                     regs[25] = addr;
-                    regs[r as usize] = mem.get(&addr).copied().unwrap_or(0);
+                    regs[r as usize] = mem.read(addr, 8);
                 }
                 Op::VSet(v, ref words) => {
                     for (i, &w) in words.iter().enumerate() {
@@ -1819,6 +2416,17 @@ mod proptests {
                     }
                     pregs[d as usize] = bits;
                     seen.insert(format!("vcmp_vv {c:?} {e:?}"));
+                }
+                Op::VCmpVI(c, e, d, n, imm, g) => {
+                    let (w, vn) = (e.bytes(), &vregs[n as usize]);
+                    let mut bits = 0u64;
+                    for i in (0..VLEN_BYTES / w).filter(|&i| active(pregs[g as usize], i, w)) {
+                        if oracle_cond(c, lane_signed(vn, i, w), imm) {
+                            bits |= 1 << (i * w);
+                        }
+                    }
+                    pregs[d as usize] = bits;
+                    seen.insert(format!("vcmp_vi {c:?} {e:?}"));
                 }
                 Op::VSel(e, d, g, n, m) => {
                     let (w, vn, vm) = (e.bytes(), vregs[n as usize], vregs[m as usize]);
@@ -1857,11 +2465,176 @@ mod proptests {
                         seen.insert(format!("vreduce {o:?} empty"));
                     }
                 }
+                Op::Dup(e, d, n) => {
+                    let w = e.bytes();
+                    for i in 0..VLEN_BYTES / w {
+                        set_lane(&mut vregs[d as usize], i, w, regs[n as usize]);
+                    }
+                    seen.insert(format!("dup {e:?}"));
+                }
+                Op::DupImm(e, d, imm) => {
+                    let w = e.bytes();
+                    for i in 0..VLEN_BYTES / w {
+                        set_lane(&mut vregs[d as usize], i, w, imm as u64);
+                    }
+                    seen.insert(format!("dup_imm {e:?}"));
+                }
+                Op::Index(e, d, n, step) => {
+                    let w = e.bytes();
+                    for i in 0..VLEN_BYTES / w {
+                        let x = (regs[n as usize] as i64).wrapping_add(step.wrapping_mul(i as i64));
+                        set_lane(&mut vregs[d as usize], i, w, x as u64);
+                    }
+                    seen.insert(format!("index {e:?}"));
+                }
+                Op::VSlideDown(e, d, n, amount) => {
+                    let (w, vn) = (e.bytes(), vregs[n as usize]);
+                    let lanes = VLEN_BYTES / w;
+                    for i in 0..lanes {
+                        let src = i + amount as usize;
+                        let x = if src < lanes { lane(&vn, src, w) } else { 0 };
+                        set_lane(&mut vregs[d as usize], i, w, x);
+                    }
+                    seen.insert(format!("vslidedown {e:?}"));
+                    if amount as usize >= lanes {
+                        seen.insert("vslidedown past the end".to_string());
+                    }
+                }
+                Op::VSlide1Up(e, d, n, r) => {
+                    let (w, vn) = (e.bytes(), vregs[n as usize]);
+                    set_lane(&mut vregs[d as usize], 0, w, regs[r as usize]);
+                    for i in 1..VLEN_BYTES / w {
+                        set_lane(&mut vregs[d as usize], i, w, lane(&vn, i - 1, w));
+                    }
+                    seen.insert(format!("vslide1up {e:?}"));
+                }
+                Op::PTrue(e, d) => {
+                    pregs[d as usize] = first_lanes(e.lanes(), e.bytes());
+                    seen.insert(format!("ptrue {e:?}"));
+                }
+                Op::PWhileLt(e, d, n) => {
+                    let k = n.clamp(0, e.lanes() as i64) as usize;
+                    pregs[d as usize] = first_lanes(k, e.bytes());
+                    seen.insert(format!("pwhilelt {e:?}"));
+                    if n < 0 || n > e.lanes() as i64 {
+                        seen.insert("pwhilelt clamped".to_string());
+                    }
+                }
+                Op::PCount(e, d, n) => {
+                    let w = e.bytes();
+                    let count = (0..VLEN_BYTES / w).filter(|&i| active(pregs[n as usize], i, w));
+                    regs[d as usize] = count.count() as u64;
+                    seen.insert(format!("pcount {e:?}"));
+                }
+                Op::VLoad(e, m, d, base, g) => {
+                    let (w, pg) = (e.bytes(), pregs[g as usize]);
+                    let n = m.map_or(w, MemSize::bytes);
+                    let lanes = VLEN_BYTES / w;
+                    for i in 0..lanes {
+                        let x = if active(pg, i, w) {
+                            mem.read(base.wrapping_add((i * n) as u64), n)
+                        } else {
+                            0
+                        };
+                        set_lane(&mut vregs[d as usize], i, w, x);
+                    }
+                    let kind = if m.is_some() { "vload_n" } else { "vload" };
+                    // The shape is that of the whole register's span.
+                    let span = [base, base.wrapping_add((lanes * n - 1) as u64)];
+                    seen.insert(format!("{kind} {e:?}"));
+                    let shape = if one_page(&span, 1) {
+                        "one page"
+                    } else {
+                        "straddle"
+                    };
+                    seen.insert(format!("{kind} {shape}"));
+                    let k = (0..lanes).filter(|&i| active(pg, i, w)).count();
+                    if 0 < k && k < lanes {
+                        seen.insert(format!("{kind} partial"));
+                    }
+                    if n < w && shape == "straddle" {
+                        seen.insert("vload_n widening straddle".to_string());
+                    }
+                }
+                Op::VStore(e, s, base, g) => {
+                    let (w, pg, vs) = (e.bytes(), pregs[g as usize], vregs[s as usize]);
+                    let lanes = VLEN_BYTES / w;
+                    let on: Vec<usize> = (0..lanes).filter(|&i| active(pg, i, w)).collect();
+                    let addrs: Vec<u64> = on.iter().map(|&i| base + (i * w) as u64).collect();
+                    seen.extend(mem_labels("vstore", e, &addrs, w, lanes));
+                    let mut failed = None;
+                    for (&i, &a) in on.iter().zip(&addrs) {
+                        if let Err(a) = mem.write(a, lane(&vs, i, w), w) {
+                            failed = Some(a);
+                            break;
+                        }
+                    }
+                    if let Some(a) = failed {
+                        seen.insert("vstore fault".to_string());
+                        want = Err(fault(a));
+                        break;
+                    }
+                }
+                Op::VGather(e, m, d, base, ref idx, scale, g) => {
+                    let (w, n, pg) = (e.bytes(), m.bytes(), pregs[g as usize]);
+                    let mut iv = [0u8; VLEN_BYTES];
+                    for (i, &x) in idx.iter().enumerate() {
+                        set_lane(&mut iv, i, 8, x);
+                    }
+                    let lanes = VLEN_BYTES / w;
+                    let mut addrs = Vec::new();
+                    for i in 0..lanes {
+                        let x = if active(pg, i, w) {
+                            let off = lane_signed(&iv, i, w).wrapping_mul(i64::from(scale));
+                            let a = base.wrapping_add(off as u64);
+                            addrs.push(a);
+                            mem.read(a, n)
+                        } else {
+                            0
+                        };
+                        set_lane(&mut vregs[d as usize], i, w, x);
+                    }
+                    seen.extend(mem_labels("vgather", e, &addrs, n, lanes));
+                }
+                Op::VScatter(e, m, s, base, ref idx, scale, g) => {
+                    let (w, n, pg, vs) =
+                        (e.bytes(), m.bytes(), pregs[g as usize], vregs[s as usize]);
+                    let mut iv = [0u8; VLEN_BYTES];
+                    for (i, &x) in idx.iter().enumerate() {
+                        set_lane(&mut iv, i, 8, x);
+                    }
+                    let lanes = VLEN_BYTES / w;
+                    let on: Vec<usize> = (0..lanes).filter(|&i| active(pg, i, w)).collect();
+                    let addrs: Vec<u64> = on
+                        .iter()
+                        .map(|&i| {
+                            let off = lane_signed(&iv, i, w).wrapping_mul(i64::from(scale));
+                            base.wrapping_add(off as u64)
+                        })
+                        .collect();
+                    seen.extend(mem_labels("vscatter", e, &addrs, n, lanes));
+                    let mut failed = None;
+                    for (j, (&i, &a)) in on.iter().zip(&addrs).enumerate() {
+                        if let Err(a) = mem.write(a, lane(&vs, i, w), n) {
+                            failed = Some((j, a));
+                            break;
+                        }
+                    }
+                    if let Some((j, a)) = failed {
+                        seen.insert("vscatter fault".to_string());
+                        if j > 0 {
+                            seen.insert("vscatter fault after a write".to_string());
+                        }
+                        want = Err(fault(a));
+                        break;
+                    }
+                }
             }
         }
+        assert_eq!(got, want, "case {case}: outcome ({ops:?})");
         for (r, &want) in regs.iter().enumerate() {
             assert_eq!(
-                core.state().x(XReg::new(r as u8)),
+                core.state().x(xreg(r as u8)),
                 want,
                 "case {case}: x{r} ({ops:?})"
             );
@@ -1880,12 +2653,20 @@ mod proptests {
                 "case {case}: p{r} ({ops:?})"
             );
         }
-        for (&addr, &want) in &mem {
-            assert_eq!(
-                core.state().mem.read_le(addr, 8),
-                want,
-                "case {case}: mem {addr:#x} ({ops:?})"
-            );
+        let sim = &core.state().mem;
+        assert_eq!(
+            sim.resident_pages(),
+            mem.pages.len(),
+            "case {case}: resident pages ({ops:?})"
+        );
+        for &page in &mem.pages {
+            for addr in page * PAGE..(page + 1) * PAGE {
+                assert_eq!(
+                    sim.read_u8(addr),
+                    mem.bytes.get(&addr).copied().unwrap_or(0),
+                    "case {case}: mem {addr:#x} ({ops:?})"
+                );
+            }
         }
         seen
     }
@@ -1894,12 +2675,15 @@ mod proptests {
     fn interpreter_matches_oracle() {
         let mut rng = SplitMix64::new(0x1A7E_5EED);
         let mut seen = BTreeSet::new();
-        for case in 0..160 {
+        for case in 0..400 {
             let len = rng.i64_in(1, 60) as usize;
             let ops: Vec<Op> = (0..len).map(|_| random_op(&mut rng)).collect();
-            seen.extend(check_program(case, &ops));
+            // One case in four runs under a budget of a few pages, so
+            // stores and scatters hit page-budget faults.
+            let budget = (rng.below(4) == 0).then(|| 1 + rng.below(4) as usize);
+            seen.extend(check_program(case, &ops, budget));
         }
-        // The seeded draw must reach every vector behaviour the harness
+        // The seeded draw must reach every behaviour the harness
         // covers, so a change of seed or distribution cannot quietly
         // drop one.
         let mut want = BTreeSet::new();
@@ -1910,14 +2694,50 @@ mod proptests {
             }
             for c in CONDS {
                 want.insert(format!("vcmp_vv {c:?} {e:?}"));
+                want.insert(format!("vcmp_vi {c:?} {e:?}"));
             }
-            want.insert(format!("vsel {e:?}"));
             for o in RED_OPS {
                 want.insert(format!("vreduce {o:?} {e:?}"));
+            }
+            for kind in [
+                "vsel",
+                "dup",
+                "dup_imm",
+                "index",
+                "vslidedown",
+                "vslide1up",
+                "ptrue",
+                "pwhilelt",
+                "pcount",
+                "vload",
+                "vload_n",
+                "vstore",
+                "vgather",
+                "vscatter",
+            ] {
+                want.insert(format!("{kind} {e:?}"));
             }
         }
         for o in RED_OPS {
             want.insert(format!("vreduce {o:?} empty"));
+        }
+        for kind in ["vload", "vload_n", "vstore", "vgather", "vscatter"] {
+            for shape in ["one page", "straddle", "partial"] {
+                want.insert(format!("{kind} {shape}"));
+            }
+        }
+        for label in [
+            "vload_n widening straddle",
+            "vslidedown past the end",
+            "pwhilelt clamped",
+            "vstore empty",
+            "vscatter empty",
+            "store fault",
+            "vstore fault",
+            "vscatter fault",
+            "vscatter fault after a write",
+        ] {
+            want.insert(label.to_string());
         }
         let missed: Vec<_> = want.difference(&seen).collect();
         assert!(missed.is_empty(), "oracle cases never exercised {missed:?}");
@@ -1933,7 +2753,7 @@ mod proptests {
             for &a in &EDGES {
                 for &b in &EDGES {
                     let ops = [Op::MovImm(0, a), Op::MovImm(1, b), Op::AluRR(op, 2, 0, 1)];
-                    check_program(case, &ops);
+                    check_program(case, &ops, None);
                     case += 1;
                 }
             }

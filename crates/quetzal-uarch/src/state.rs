@@ -5,9 +5,10 @@ use quetzal_isa::{ElemSize, PReg, VReg, XReg, VLEN_BYTES};
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::{BitAnd, BitOr, Not};
 
 const PAGE_BITS: u32 = 12;
-const PAGE_SIZE: usize = 1 << PAGE_BITS;
+pub(crate) const PAGE_SIZE: usize = 1 << PAGE_BITS;
 
 /// Pages kept on the free list across [`SimMemory::clear`] calls
 /// (16 MiB): enough to recycle every page the repo's workloads touch
@@ -99,7 +100,7 @@ impl SimMemory {
 
     /// The page a write to `addr` lands in, allocating it if the budget
     /// allows.
-    fn page_for_write(
+    pub(crate) fn page_for_write(
         &mut self,
         addr: u64,
     ) -> Result<&mut Box<[u8; PAGE_SIZE]>, PageBudgetExceeded> {
@@ -121,6 +122,12 @@ impl SimMemory {
                 Ok(v.insert(page))
             }
         }
+    }
+
+    /// The resident page holding `addr`, if any (unwritten pages read
+    /// as zero).
+    pub(crate) fn page(&self, addr: u64) -> Option<&[u8; PAGE_SIZE]> {
+        self.pages.get(&(addr >> PAGE_BITS)).map(|p| &**p)
     }
 
     /// Reads one byte.
@@ -163,14 +170,10 @@ impl SimMemory {
         debug_assert!(n <= 8);
         let off = (addr as usize) & (PAGE_SIZE - 1);
         if off + n <= PAGE_SIZE {
-            let Some(p) = self.pages.get(&(addr >> PAGE_BITS)) else {
-                return 0;
-            };
-            let mut v = 0u64;
-            for (i, &b) in p[off..off + n].iter().enumerate() {
-                v |= (b as u64) << (8 * i);
+            match self.pages.get(&(addr >> PAGE_BITS)) {
+                Some(p) => le_word(&p[off..off + n], n),
+                None => 0,
             }
-            v
         } else {
             // Page-straddling access: per-byte slow path. Wrapping
             // address arithmetic: an access at the top of the 64-bit
@@ -200,9 +203,7 @@ impl SimMemory {
         let off = (addr as usize) & (PAGE_SIZE - 1);
         if off + n <= PAGE_SIZE {
             let page = self.page_for_write(addr)?;
-            for (i, b) in page[off..off + n].iter_mut().enumerate() {
-                *b = (value >> (8 * i)) as u8;
-            }
+            set_le_word(&mut page[off..off + n], value, n);
         } else {
             for i in 0..n {
                 self.try_write_u8(addr.wrapping_add(i as u64), (value >> (8 * i)) as u8)?;
@@ -356,13 +357,13 @@ impl ArchState {
 
     /// Reads element `i` of vector `r`, zero-extended to 64 bits.
     pub fn v_elem(&self, r: VReg, i: usize, esize: ElemSize) -> u64 {
-        let b = esize.bytes();
-        let off = i * b;
-        let mut v = 0u64;
-        for k in 0..b {
-            v |= (self.v[r.index() as usize][off + k] as u64) << (8 * k);
+        let v = &self.v[r.index() as usize];
+        match esize {
+            ElemSize::B8 => u64::from(v[i]),
+            ElemSize::B16 => u64::from(u16::read(&v[2 * i..])),
+            ElemSize::B32 => u64::from(u32::read(&v[4 * i..])),
+            ElemSize::B64 => u64::read(&v[8 * i..]),
         }
-        v
     }
 
     /// Reads element `i` of vector `r` sign-extended to `i64`.
@@ -372,10 +373,12 @@ impl ArchState {
 
     /// Writes the low bits of `value` to element `i` of vector `r`.
     pub fn set_v_elem(&mut self, r: VReg, i: usize, esize: ElemSize, value: u64) {
-        let b = esize.bytes();
-        let off = i * b;
-        for k in 0..b {
-            self.v[r.index() as usize][off + k] = (value >> (8 * k)) as u8;
+        let v = &mut self.v[r.index() as usize];
+        match esize {
+            ElemSize::B8 => v[i] = value as u8,
+            ElemSize::B16 => u16::wrap(value).write(&mut v[2 * i..]),
+            ElemSize::B32 => u32::wrap(value).write(&mut v[4 * i..]),
+            ElemSize::B64 => value.write(&mut v[8 * i..]),
         }
     }
 
@@ -387,36 +390,162 @@ impl ArchState {
     /// Builds a predicate word with the first `n` elements (at `esize`)
     /// active.
     pub fn pred_first_n(n: usize, esize: ElemSize) -> u64 {
-        let mut p = 0u64;
-        for i in 0..esize.lanes().min(n) {
-            p |= 1 << (i * esize.bytes());
-        }
-        p
+        let bytes = esize.lanes().min(n) * esize.bytes();
+        let span = if bytes >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << bytes) - 1
+        };
+        span & lane_bits(esize)
     }
 
     /// Counts active elements of a predicate at `esize`.
     pub fn pred_count(&self, pg: PReg, esize: ElemSize) -> u64 {
-        (0..esize.lanes())
-            .filter(|&i| self.lane_active(pg, i, esize))
-            .count() as u64
+        u64::from((self.p(pg) & lane_bits(esize)).count_ones())
     }
 
     /// The eight 64-bit lanes of a vector register.
     pub fn v_lanes64(&self, r: VReg) -> [u64; 8] {
-        let mut out = [0u64; 8];
-        for (i, item) in out.iter_mut().enumerate() {
-            *item = self.v_elem(r, i, ElemSize::B64);
-        }
-        out
+        self.lanes::<u64>(r)
     }
 
     /// Active-lane mask at 64-bit granularity.
     pub fn mask64(&self, pg: PReg) -> [bool; 8] {
-        let mut m = [false; 8];
-        for (i, item) in m.iter_mut().enumerate() {
-            *item = self.lane_active(pg, i, ElemSize::B64);
+        let p = self.p(pg);
+        std::array::from_fn(|i| (p >> (8 * i)) & 1 == 1)
+    }
+
+    /// Every lane of vector `r` at element type `T`.
+    #[inline]
+    pub(crate) fn lanes<T: Lane>(&self, r: VReg) -> T::Lanes {
+        let mut out = T::ZEROS;
+        let bytes = self.v[r.index() as usize].chunks_exact(T::BYTES);
+        for (lane, b) in out.as_mut().iter_mut().zip(bytes) {
+            *lane = T::read(b);
         }
-        m
+        out
+    }
+
+    /// Overwrites every lane of vector `r` at element type `T`.
+    #[inline]
+    pub(crate) fn set_lanes<T: Lane>(&mut self, r: VReg, lanes: &T::Lanes) {
+        let bytes = self.v[r.index() as usize].chunks_exact_mut(T::BYTES);
+        for (b, &lane) in bytes.zip(lanes.as_ref()) {
+            lane.write(b);
+        }
+    }
+
+    /// Predicate `pg` expanded once to a lane mask at element type `T`:
+    /// all ones in each active lane, zero in each inactive one.
+    #[inline]
+    pub(crate) fn lane_mask<T: Lane>(&self, pg: PReg) -> T::Lanes {
+        let p = self.p(pg);
+        let mut out = T::ZEROS;
+        for (i, m) in out.as_mut().iter_mut().enumerate() {
+            *m = T::wrap(((p >> (i * T::BYTES)) & 1).wrapping_neg());
+        }
+        out
+    }
+}
+
+/// The predicate bits that govern elements at `esize`: bit `i * bytes`
+/// for every lane `i`.
+fn lane_bits(esize: ElemSize) -> u64 {
+    match esize {
+        ElemSize::B8 => u64::MAX,
+        ElemSize::B16 => 0x5555_5555_5555_5555,
+        ElemSize::B32 => 0x1111_1111_1111_1111,
+        ElemSize::B64 => 0x0101_0101_0101_0101,
+    }
+}
+
+/// One vector element type: the fixed-width integer a register holds at
+/// one [`ElemSize`], so that lane kernels are written once over element
+/// width and monomorphised per size. Register bytes are little-endian.
+pub(crate) trait Lane:
+    Copy + Eq + BitAnd<Output = Self> + BitOr<Output = Self> + Not<Output = Self>
+{
+    /// Width in bytes.
+    const BYTES: usize;
+    /// Every lane of one register (`VLEN_BYTES / BYTES` elements).
+    type Lanes: Copy + AsRef<[Self]> + AsMut<[Self]>;
+    /// A register of zero lanes.
+    const ZEROS: Self::Lanes;
+    /// The lane held by the first `BYTES` bytes of `b`.
+    fn read(b: &[u8]) -> Self;
+    /// Stores the lane into the first `BYTES` bytes of `b`.
+    fn write(self, b: &mut [u8]);
+    /// The low `BYTES` bytes of `v` (wrapping truncation).
+    fn wrap(v: u64) -> Self;
+    /// Zero-extends the lane to 64 bits.
+    fn zext(self) -> u64;
+    /// Sign-extends the lane to 64 bits.
+    fn sext(self) -> i64;
+}
+
+macro_rules! impl_lane {
+    ($($t:ty, $s:ty;)*) => {$(
+        impl Lane for $t {
+            const BYTES: usize = std::mem::size_of::<$t>();
+            type Lanes = [$t; VLEN_BYTES / std::mem::size_of::<$t>()];
+            const ZEROS: Self::Lanes = [0; VLEN_BYTES / std::mem::size_of::<$t>()];
+            #[inline(always)]
+            fn read(b: &[u8]) -> $t {
+                <$t>::from_le_bytes(b[..Self::BYTES].try_into().expect("lane width"))
+            }
+            #[inline(always)]
+            fn write(self, b: &mut [u8]) {
+                b[..Self::BYTES].copy_from_slice(&self.to_le_bytes());
+            }
+            #[inline(always)]
+            fn wrap(v: u64) -> $t {
+                v as $t
+            }
+            #[inline(always)]
+            fn zext(self) -> u64 {
+                self as u64
+            }
+            #[inline(always)]
+            fn sext(self) -> i64 {
+                self as $s as i64
+            }
+        }
+    )*};
+}
+
+impl_lane! {
+    u8, i8;
+    u16, i16;
+    u32, i32;
+    u64, i64;
+}
+
+/// The little-endian word in the first `n <= 8` bytes of `b`,
+/// zero-extended; the access widths of the ISA take one fixed-width
+/// read.
+#[inline]
+pub(crate) fn le_word(b: &[u8], n: usize) -> u64 {
+    match n {
+        1 => u64::from(b[0]),
+        2 => u64::from(u16::read(b)),
+        4 => u64::from(u32::read(b)),
+        8 => u64::read(b),
+        _ => b[..n]
+            .iter()
+            .rev()
+            .fold(0, |v, &byte| (v << 8) | u64::from(byte)),
+    }
+}
+
+/// Stores the low `n <= 8` bytes of `v` little-endian into `b`.
+#[inline]
+pub(crate) fn set_le_word(b: &mut [u8], v: u64, n: usize) {
+    match n {
+        1 => b[0] = v as u8,
+        2 => u16::wrap(v).write(b),
+        4 => u32::wrap(v).write(b),
+        8 => v.write(b),
+        _ => b[..n].copy_from_slice(&v.to_le_bytes()[..n]),
     }
 }
 
